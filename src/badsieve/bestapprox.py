@@ -8,9 +8,13 @@ zeta = ||theta1*m1 + theta2*m2||. The full sequence is the Pareto staircase of
 (height_sq, zeta): heights strictly increase, zetas strictly decrease.
 
 Enumeration never scans the plane. For each m2 the one-dimensional problem
-"first |m1| beyond x with zeta below the current record" is answered by the
-modmin kernel in O(log) exact integer steps, and a height-ordered event queue
-merges the per-m2 streams. Because the running record zeta only decreases,
+"first |m1| in [x, H] with zeta below the current record" is answered by the
+modmin kernel in O(log) exact integer steps, one walk per sign of m1, and a
+height-ordered event queue merges the per-m2 streams. The two sides of the
+distance to the nearest integer share one walk: with r the residue of the
+form, min(r, D - r) <= s exactly when (r + s) mod D <= 2s. Every walk is
+capped by its height bound, so the kernel stops as soon as no witness at or
+below that bound can exist. Because the running record zeta only decreases,
 a stream's next viable height only moves up, so requeueing a stale event is
 sound and no candidate is ever skipped.
 """
@@ -107,35 +111,31 @@ class _ScaledForm:
         return min(r, self.D - r)
 
     def branches(self, m2: int):
-        """(a, c, sign, x_start): residue walks covering dist(sign*x, m2) <= s
-        for x >= x_start. Two walks per sign (r side and D-r side); the
-        negative sign is omitted for m2 == 0 since (-x, 0) ~ (x, 0)."""
-        D = self.D
-        c = self.A2 * m2 % D
-        na = (D - self.A1) % D
-        nc = (D - c) % D
-        pos_start = 1 if m2 == 0 else 0
-        out = [
-            (self.A1, c, 1, pos_start),
-            (na, nc, 1, pos_start),
-        ]
-        if m2 > 0:
-            out.append((na, c, -1, 1))
-            out.append((self.A1, nc, -1, 1))
-        return out
+        """(a, c, sign, x_start): residue walks r(x) = (a*x + c) mod D with
+        dist_scaled(sign*x, m2) = min(r, D - r) for x >= x_start. One walk
+        per sign, covering both sides of the distance (see _branch_first);
+        the negative sign is omitted for m2 == 0 since (-x, 0) ~ (x, 0)."""
+        c = self.A2 * m2 % self.D
+        if m2 == 0:
+            return [(self.A1, c, 1, 1)]
+        return [(self.A1, c, 1, 0), ((self.D - self.A1) % self.D, c, -1, 1)]
 
 
-def _branch_first(sf: _ScaledForm, a: int, c: int, x_lo: int, s: int):
-    """Minimal x >= x_lo with (a*x + c) % D <= s, or None."""
-    c0 = (a * x_lo + c) % sf.D
-    u = first_reaching(a, c0, sf.D, s)
+def _branch_first(sf: _ScaledForm, a: int, c: int, x_lo: int, s: int, x_hi: int):
+    """Minimal x in [x_lo, x_hi] with min(r, D - r) <= s for
+    r = (a*x + c) % D, or None.
+
+    min(r, D - r) <= s  <=>  (r + s) % D <= 2s, exactly: for 2s < D the
+    r <= s side lands in [s, 2s] and the r >= D - s side in [0, s - 1];
+    for 2s >= D - 1 both sides always hold and the kernel returns 0."""
+    c0 = (a * x_lo + c + s) % sf.D
+    u = first_reaching(a, c0, sf.D, 2 * s, x_hi - x_lo)
     return None if u is None else x_lo + u
 
 
 def _block_exists(sf: _ScaledForm, m2: int, s: int, T: int) -> bool:
     for a, c, _sign, x_start in sf.branches(m2):
-        x = _branch_first(sf, a, c, x_start, s)
-        if x is not None and x <= T:
+        if _branch_first(sf, a, c, x_start, s, T) is not None:
             return True
     return False
 
@@ -203,8 +203,8 @@ def enumerate_best_approx(theta: ThetaForm, height_sq_max: int) -> BestApproxSeq
                     beyond = None
                     retry = []
                     for a, c, sign, x_start in sf.branches(m2):
-                        x = _branch_first(sf, a, c, x_start, s)
-                        if x is None or x > H:
+                        x = _branch_first(sf, a, c, x_start, s, H)
+                        if x is None:
                             continue
                         if x <= T:
                             d = sf.dist_scaled(sign * x, m2)
@@ -217,29 +217,23 @@ def enumerate_best_approx(theta: ThetaForm, height_sq_max: int) -> BestApproxSeq
                         v, m1, cnt = _block_min(sf, m2, block_ub)
                         cands.append((v, m1, m2, cnt))
                         for a, c in retry:
-                            x = _branch_first(sf, a, c, T + 1, s)
-                            if x is not None and x <= H and (beyond is None or x < beyond):
+                            x = _branch_first(sf, a, c, T + 1, s, H)
+                            if x is not None and (beyond is None or x < beyond):
                                 beyond = x
                     if beyond is not None:
                         requeue.append((m2, beyond))
                 else:
-                    hit = False
                     for m1 in ((h, -h) if m2 > 0 else (h,)):
                         d = sf.dist_scaled(m1, m2)
                         if d <= s:
                             cands.append((d, m1, m2, 1))
-                            hit = True
                     nxt = None
                     for a, c, _sign, _xs in sf.branches(m2):
-                        x = _branch_first(sf, a, c, h + 1, s)
-                        if x is not None and x <= H and (nxt is None or x < nxt):
+                        x = _branch_first(sf, a, c, h + 1, s, H)
+                        if x is not None and (nxt is None or x < nxt):
                             nxt = x
                     if nxt is not None:
                         requeue.append((m2, nxt))
-                    elif hit:
-                        # a record here lowers the threshold; nothing below the
-                        # old one exists beyond h, so nothing below the new one does
-                        pass
             if cands:
                 dmin = min(c[0] for c in cands)
                 winners = [c for c in cands if c[0] == dmin]
@@ -293,14 +287,13 @@ def is_best_approximation(theta: ThetaForm, m: tuple[int, int]) -> bool:
     s = zeta.numerator * sf.D // zeta.denominator  # dist <= zeta, closed
     for mp2 in range(isqrt(h) + 1):
         for a, c, sign, x_start in sf.branches(mp2):
-            x = _branch_first(sf, a, c, x_start, s)
+            x = _branch_first(sf, a, c, x_start, s, h)
             hops = 0
-            while x is not None and x <= h:
+            while x is not None:
                 if canonical_class(sign * x, mp2) != own:
                     return False
                 # the hit is our own class; look past it on this walk
-                x2 = _branch_first(sf, a, c, x + 1, s)
-                x = x2
+                x = _branch_first(sf, a, c, x + 1, s, h)
                 hops += 1
                 if hops > 2:  # own class occupies one x per walk
                     raise RuntimeError("branch walk failed to advance")
@@ -345,14 +338,6 @@ def type_window(
         )
     lo = R ** (2 * n)
     return [v for v in seq.vectors if v.kind == kind and lo < v.height_sq <= hi]
-
-
-def height_window(seq: BestApproxSequence, R: int, n: int) -> list[BestApproxVector]:
-    """Both kinds together, same bounds as type_window."""
-    return sorted(
-        type_window(seq, TYPE1, R, n) + type_window(seq, TYPE2, R, n),
-        key=lambda v: v.index,
-    )
 
 
 # --- serialization ---------------------------------------------------------

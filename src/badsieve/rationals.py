@@ -15,8 +15,6 @@ from math import isqrt
 
 from .errors import ConfigError, PrecisionExhausted
 
-Q = Fraction  # local shorthand, mirrors how the rest of the package writes exact values
-
 
 def parse_rational(text: str) -> Fraction:
     """Parse 'p/q', an integer string, or a decimal string, exactly.

@@ -1,4 +1,5 @@
-"""The nine acceptance criteria, one test each, one PASS/FAIL line each.
+"""The nine acceptance criteria, one test each, one PASS/FAIL line each,
+plus a pin of the full-scale sequence bytes.
 
 Shared fixtures keep the expensive work (enumeration to 16^8, full-depth
 runs, Q = 10^5 scans) to one pass per theta. Runtime budgets are asserted
@@ -15,6 +16,7 @@ from badsieve.bestapprox import (
     audit_growth,
     audit_minkowski,
     enumerate_best_approx,
+    sequence_fingerprint,
 )
 from badsieve.catalog import catalog_names, get_entry
 from badsieve.cli import main
@@ -71,6 +73,25 @@ def theta_reports(full_runs):
         rep = bad_theta_score(theta, cert.eta, Q_FULL)
         out[name] = (rep, time.monotonic() - t0)
     return out
+
+
+# Fingerprints and record counts of the enumeration to M^2 = 16^8 = 2^32,
+# far beyond the reach of brute_best_approx: any change to the enumerator
+# must reproduce these bytes exactly.
+FULL_SCALE_FINGERPRINTS = {
+    "sqrt2-sqrt3": ("sha256:3ac798e2fd5076326ac7c946d3480b5a", 42),
+    "golden-pair": ("sha256:77ba0adb5d800bd8106957b131dfd5e0", 24),
+    "liouville": ("sha256:9593237c03aa3e9643fb0ffb49be925c", 13),
+}
+
+
+def test_full_scale_sequence_fingerprints(full_sequences):
+    assert CFG.height_sq_bound() == 2**32
+    got = {
+        name: (sequence_fingerprint(seq), len(seq.vectors))
+        for name, (_theta, seq, _) in full_sequences.items()
+    }
+    assert got == FULL_SCALE_FINGERPRINTS
 
 
 def test_criterion_1_oracle_equivalence():

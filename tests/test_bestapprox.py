@@ -6,6 +6,8 @@ from hypothesis import given, settings, strategies as st
 from badsieve.bestapprox import (
     BestApproxSequence,
     BestApproxVector,
+    _branch_first,
+    _ScaledForm,
     audit_growth,
     audit_minkowski,
     canonical_class,
@@ -110,6 +112,43 @@ def test_matches_oracle_random_theta(p1, p2, bound):
         return
     slow = brute_best_approx(theta, bound)
     assert fast.vectors == slow.vectors
+
+
+@pytest.mark.parametrize(
+    "theta",
+    [
+        ThetaForm(Fraction(2, 7), Fraction(3, 5)),
+        ThetaForm(Fraction(5, 12), Fraction(1, 8)),
+        ThetaForm(Fraction(4, 9), Fraction(2, 9)),
+        ThetaForm(Fraction(1, 2), Fraction(1, 2)),
+    ],
+)
+def test_branch_first_merged_walk_matches_brute(theta):
+    # one walk per sign must find the minimal x in [x_lo, x_hi] on either
+    # side of the distance, for every threshold up to the initial s = D
+    sf = _ScaledForm(theta)
+    D = sf.D
+    for m2 in range(4):
+        walks = sf.branches(m2)
+        covered = {(sign * x, m2) for _a, _c, sign, x_start in walks
+                   for x in range(x_start, 3 * D)}
+        want_cover = {
+            (m1, m2)
+            for m1 in range(-3 * D + 1, 3 * D)
+            if (m1, m2) != (0, 0) and canonical_class(m1, m2) == (m1, m2)
+        }
+        assert covered == want_cover
+        for a, c, sign, x_start in walks:
+            for s in range(-1, D + 1):
+                for x_lo in range(x_start, x_start + D + 1):
+                    for x_hi in range(x_lo - 1, x_lo + 2 * D):
+                        want = next(
+                            (x for x in range(x_lo, x_hi + 1)
+                             if sf.dist_scaled(sign * x, m2) <= s),
+                            None,
+                        )
+                        got = _branch_first(sf, a, c, x_lo, s, x_hi)
+                        assert got == want, (theta, m2, sign, s, x_lo, x_hi)
 
 
 def test_is_best_matches_sequence_membership():

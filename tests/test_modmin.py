@@ -1,3 +1,5 @@
+import linecache
+import sys
 from math import gcd
 
 import pytest
@@ -20,6 +22,28 @@ def brute_first_reaching(a, c, m, s, limit=20000):
     return None
 
 
+def descent_levels(*args):
+    """(result, levels): first_reaching(*args) and how many times its
+    descent went one level down, counted by tracing the stack push."""
+    levels = 0
+
+    def tracer(frame, event, arg):
+        nonlocal levels
+        if frame.f_code is not first_reaching.__code__:
+            return None
+        line = linecache.getline(frame.f_code.co_filename, frame.f_lineno)
+        if event == "line" and "stack.append" in line:
+            levels += 1
+        return tracer
+
+    sys.settrace(tracer)
+    try:
+        res = first_reaching(*args)
+    finally:
+        sys.settrace(None)
+    return res, levels
+
+
 def brute_min_prefix(a, c, m, n):
     vals = [((a * x + c) % m, x) for x in range(n + 1)]
     return min(vals)
@@ -34,6 +58,61 @@ def test_first_reaching_small_exhaustive():
                     got = first_reaching(a, c, m, s)
                     want = brute_first_reaching(a, c, m, s, limit=3 * m + 2)
                     assert got == want, (a, c, m, s)
+
+
+def test_first_reaching_limit_small_exhaustive():
+    # every (a, c, m, s) with m <= 24 and every limit in [-1, 3m]: the capped
+    # kernel returns the scan's answer when it is <= limit, else None
+    for m in range(1, 25):
+        for a in range(m):
+            for c in range(m):
+                for s in range(-1, m + 1):
+                    want = brute_first_reaching(a, c, m, s, limit=3 * m + 2)
+                    for limit in range(-1, 3 * m + 1):
+                        got = first_reaching(a, c, m, s, limit)
+                        exp = want if want is not None and want <= limit else None
+                        assert got == exp, (a, c, m, s, limit)
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    m=st.integers(min_value=1, max_value=2**400),
+    a=st.integers(min_value=0, max_value=2**400),
+    c=st.integers(min_value=0, max_value=2**400),
+    s=st.integers(min_value=-1, max_value=2**400),
+    limit=st.one_of(
+        st.integers(min_value=-2, max_value=2**64),
+        st.integers(min_value=-2, max_value=2**400),
+    ),
+    data=st.data(),
+)
+def test_first_reaching_limit_matches_uncapped(m, a, c, s, limit, data):
+    s >>= data.draw(st.integers(min_value=0, max_value=400))
+    x = first_reaching(a, c, m, s)
+    want = x if x is not None and x <= limit else None
+    assert first_reaching(a, c, m, s, limit) == want
+    if x is not None:
+        # the boundary on either side of the true answer
+        assert first_reaching(a, c, m, s, x) == x
+        assert first_reaching(a, c, m, s, x - 1) is None
+
+
+def test_first_reaching_limit_liouville_modulus_stops_early():
+    # Liouville-type coefficient: sum of 10^-k! for k <= 6 over m = 10^720.
+    # The uncapped witness has about 714 digits and takes dozens of levels.
+    m = 10**720
+    a = sum(10 ** (720 - e) for e in (1, 2, 6, 24, 120, 720))
+    c = a % m  # x = 0 is not a trivial witness: this searches a*(x+1)
+    s = 10**10
+    full, full_levels = descent_levels(a, c, m, s)
+    assert full is not None and full > 10**700
+    assert full_levels > 30
+    for limit in (0, 1, 10, 1000, 2**64):
+        got, levels = descent_levels(a, c, m, s, limit)
+        assert got is None
+        # a <= m/2 after reflection, so the wrap bound at least halves per level
+        assert levels <= min(limit.bit_length(), 8)
+    assert descent_levels(a, c, m, s, full) == (full, full_levels)
 
 
 @settings(max_examples=300, deadline=None)
