@@ -101,7 +101,6 @@ def build_parser() -> _Parser:
     p.add_argument("--depth", type=int)
     p.add_argument("--policy", choices=("lex", "random"))
     p.add_argument("--seed", type=int)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out", default=".", help="directory for journal + certificate")
     p.add_argument("--resume", help="existing journal to replay and continue")
     p.set_defaults(func=cmd_construct)
@@ -172,11 +171,12 @@ def cmd_construct(args) -> int:
     resume_levels = ()
     if args.resume:
         text = Path(args.resume).read_text()
-        j_theta, j_cfg, _tfp, _sfp, _base, resume_levels, _final = parse_journal(text)
-        theta = j_theta
+        theta, j_cfg, j_tfp, j_sfp, _base, resume_levels, _final = parse_journal(text)
         if args.catalog or args.theta:
-            if _resolve_theta(args) != j_theta:
+            if _resolve_theta(args) != theta:
                 raise ConfigError("--resume journal was built for a different theta")
+        if theta_fingerprint(theta) != j_tfp:
+            raise ConfigError("--resume journal theta fingerprint mismatch")
         for flag, journal_value in (
             ("R", j_cfg.R),
             ("depth", j_cfg.depth),
@@ -211,12 +211,16 @@ def cmd_construct(args) -> int:
 
     bound = max(1, cfg.height_sq_bound())
     seq = enumerate_best_approx(theta, bound)
+    seq_fp = sequence_fingerprint(seq)
+    if args.resume and seq_fp != j_sfp:
+        raise ConfigError(
+            "--resume journal sequence fingerprint mismatch: enumeration does "
+            "not reproduce the journal's vector list"
+        )
     print(f"theta {theta_fingerprint(theta)}")
-    print(f"sequence {sequence_fingerprint(seq)}  vectors {len(seq.vectors)}")
+    print(f"sequence {seq_fp}  vectors {len(seq.vectors)}")
 
-    cert, journal = run_sieve(
-        theta, cfg, seq, threads=args.threads, resume_levels=resume_levels
-    )
+    cert, journal = run_sieve(theta, cfg, seq, resume_levels=resume_levels)
     _print_level_table(journal.levels, cfg)
     print(f"eta ({cert.eta[0]}, {cert.eta[1]})")
     print(f"verified_form_min {cert.verified_form_min} > epsilon {cert.epsilon}")

@@ -94,36 +94,72 @@ def journal_text(j: RunJournal) -> str:
     return "".join(line + "\n" for line in lines)
 
 
+def _typed(val, kind, key: str):
+    # JSON true/false load as bool, which Python also counts as an int
+    if not isinstance(val, kind) or (isinstance(val, bool) and kind is not bool):
+        raise ConfigError(f"field {key!r} is missing or not of type {kind.__name__}")
+    return val
+
+
+def _get(obj: dict, key: str, kind):
+    """obj[key], which must be present with JSON type kind, else ConfigError."""
+    return _typed(obj.get(key), kind, key)
+
+
+def _items(obj: dict, key: str, kind, length: int | None = None) -> list:
+    """obj[key]: a list of values of JSON type kind, of the given length."""
+    val = _get(obj, key, list)
+    if length is not None and len(val) != length:
+        raise ConfigError(f"field {key!r} should hold {length} values")
+    return [_typed(x, kind, key) for x in val]
+
+
+def _rational(obj: dict, key: str) -> Fraction:
+    return parse_rational(_get(obj, key, str))
+
+
+def _rational_pair(obj: dict, key: str) -> tuple[Fraction, Fraction]:
+    return tuple(map(parse_rational, _items(obj, key, str, 2)))
+
+
+def _theta(obj: dict) -> ThetaForm:
+    return ThetaForm(
+        *(_rational(obj, k) for k in ("theta1", "theta2", "declared_error"))
+    )
+
+
 def _parse_level(rec: dict, cfg: SieveConfig) -> LevelRecord:
+    level = _get(rec, "level", int)
     marks = tuple(
         VectorMark(
-            index=m["index"], kind=m["kind"], kills=m["kills"], gap_ok=m["gap_ok"]
+            index=_get(m, "index", int),
+            kind=_get(m, "kind", int),
+            kills=_get(m, "kills", int),
+            gap_ok=_get(m, "gap_ok", bool),
         )
-        for m in rec["marks"]
+        for m in _items(rec, "marks", dict)
     )
-    stats = DangerStats.collect(cfg, rec["level"], marks, rec["union_kills"])
+    stats = DangerStats.collect(cfg, level, marks, _get(rec, "union_kills", int))
     if (
-        stats.type1_total != rec["type1_total"]
-        or stats.type2_total != rec["type2_total"]
+        stats.type1_total != rec.get("type1_total")
+        or stats.type2_total != rec.get("type2_total")
     ):
         raise ConfigError("journal level record inconsistent with its marks")
-    if stats.survivors != rec["survivors"] or {
+    if stats.survivors != rec.get("survivors") or {
         "h1": stats.h1_bound,
         "h2": stats.h2_bound,
         "type1_total": stats.type1_total_bound,
         "type2_total": stats.type2_total_bound,
         "union": stats.union_bound,
-    } != rec["bounds"]:
+    } != rec.get("bounds"):
         raise ConfigError("journal level record inconsistent with its config")
     return LevelRecord(
-        level=rec["level"],
-        rect=Rectangle(
-            parse_rational(rec["rect"][0]), parse_rational(rec["rect"][1]), rec["level"]
-        ),
-        window1=tuple(rec["window1"]),
-        window2=tuple(rec["window2"]),
+        level=level,
+        rect=Rectangle(*_rational_pair(rec, "rect"), level),
+        window1=tuple(_items(rec, "window1", int)),
+        window2=tuple(_items(rec, "window2", int)),
         stats=stats,
-        chosen=(rec["chosen"][0], rec["chosen"][1]),
+        chosen=tuple(_items(rec, "chosen", int, 2)),
     )
 
 
@@ -131,7 +167,8 @@ def parse_journal(text: str):
     """-> (theta, config, theta_fp, sequence_fp, base, levels, final|None).
 
     Tolerates a missing final record (interrupted run); everything else
-    malformed raises ConfigError."""
+    malformed, a missing key or a value of the wrong JSON type included,
+    raises ConfigError."""
     records = []
     for ln, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
@@ -140,18 +177,21 @@ def parse_journal(text: str):
             records.append(json.loads(line))
         except json.JSONDecodeError as e:
             raise ConfigError(f"journal line {ln} is not valid JSON: {e}") from None
+        if not isinstance(records[-1], dict):
+            raise ConfigError(f"journal line {ln} is not a JSON object")
     if not records or records[0].get("type") != "header":
         raise ConfigError("journal does not start with a header record")
     h = records[0]
     if h.get("schema") != SCHEMA:
         raise ConfigError(f"unsupported journal schema {h.get('schema')}")
-    theta = ThetaForm(
-        theta1=parse_rational(h["theta1"]),
-        theta2=parse_rational(h["theta2"]),
-        declared_error=parse_rational(h["declared_error"]),
+    theta = _theta(h)
+    cfg = SieveConfig(
+        R=_get(h, "R", int),
+        depth=_get(h, "depth", int),
+        policy=_get(h, "policy", str),
+        seed=_get(h, "seed", int),
     )
-    cfg = SieveConfig(R=h["R"], depth=h["depth"], policy=h["policy"], seed=h["seed"])
-    base = Rectangle(parse_rational(h["base"][0]), parse_rational(h["base"][1]), 0)
+    base = Rectangle(*_rational_pair(h, "base"), 0)
     levels = []
     final = None
     for rec in records[1:]:
@@ -159,11 +199,7 @@ def parse_journal(text: str):
         if kind == "level":
             levels.append(_parse_level(rec, cfg))
         elif kind == "final":
-            final = Rectangle(
-                parse_rational(rec["rect"][0]),
-                parse_rational(rec["rect"][1]),
-                rec["level"],
-            )
+            final = Rectangle(*_rational_pair(rec, "rect"), _get(rec, "level", int))
         else:
             raise ConfigError(f"unknown journal record type {kind!r}")
     expected = 0
@@ -171,7 +207,9 @@ def parse_journal(text: str):
         if rec.level != expected:
             raise ConfigError("journal levels are not consecutive from 0")
         expected += 1
-    return theta, cfg, h["theta_fingerprint"], h["sequence_fingerprint"], base, tuple(levels), final
+    tfp = _get(h, "theta_fingerprint", str)
+    sfp = _get(h, "sequence_fingerprint", str)
+    return theta, cfg, tfp, sfp, base, tuple(levels), final
 
 
 def certificate_json(cert: Certificate) -> str:
@@ -211,29 +249,29 @@ def parse_certificate(text: str) -> Certificate:
         obj = json.loads(text)
     except json.JSONDecodeError as e:
         raise ConfigError(f"certificate is not valid JSON: {e}") from None
-    if obj.get("kind") != "certificate" or obj.get("schema") != SCHEMA:
+    if (
+        not isinstance(obj, dict)
+        or obj.get("kind") != "certificate"
+        or obj.get("schema") != SCHEMA
+    ):
         raise ConfigError("not a certificate file of a supported schema")
-    t = obj["theta"]
-    theta = ThetaForm(
-        theta1=parse_rational(t["theta1"]),
-        theta2=parse_rational(t["theta2"]),
-        declared_error=parse_rational(t["declared_error"]),
-    )
-    c = obj["config"]
-    score = obj["bad_theta_score_at_Q"]
+    t = _get(obj, "theta", dict)
+    c = _get(obj, "config", dict)
+    score = obj.get("bad_theta_score_at_Q", "missing")
+    if score is not None:  # null until verify stamps a score
+        s = _get(obj, "bad_theta_score_at_Q", dict)
+        score = (_get(s, "Q", int), _rational(s, "score_cubed"))
     return Certificate(
-        theta=theta,
-        theta_fp=t["fingerprint"],
-        sequence_fp=obj["sequence_fingerprint"],
-        R=c["R"],
-        depth=c["depth"],
-        policy=c["policy"],
-        seed=c["seed"],
-        eta=(parse_rational(obj["eta"][0]), parse_rational(obj["eta"][1])),
-        epsilon=parse_rational(obj["epsilon"]),
-        height_sq_bound=obj["height_sq_bound"],
-        verified_form_min=parse_rational(obj["verified_form_min"]),
-        bad_theta_score_at_Q=None
-        if score is None
-        else (score["Q"], parse_rational(score["score_cubed"])),
+        theta=_theta(t),
+        theta_fp=_get(t, "fingerprint", str),
+        sequence_fp=_get(obj, "sequence_fingerprint", str),
+        R=_get(c, "R", int),
+        depth=_get(c, "depth", int),
+        policy=_get(c, "policy", str),
+        seed=_get(c, "seed", int),
+        eta=_rational_pair(obj, "eta"),
+        epsilon=_rational(obj, "epsilon"),
+        height_sq_bound=_get(obj, "height_sq_bound", int),
+        verified_form_min=_rational(obj, "verified_form_min"),
+        bad_theta_score_at_Q=score,
     )

@@ -1,11 +1,10 @@
 """Exact minimization of affine maps modulo an integer.
 
 Everything the record enumerator needs about the one-dimensional problem
-"how close does (a*x + c) mod m get to 0 for x in a range" reduces to three
+"how close does (a*x + c) mod m get to 0 for x in a range" reduces to two
 integer queries, each answered without scanning x:
 
   first_reaching(a, c, m, s, L)   minimal x in [0, L] with (a*x + c) % m <= s
-  min_affine_prefix(a, c, m, n)   min and argmin of (a*x + c) % m on [0, n]
   congruence_solutions_in_range   count / min-|x| of (a*x + c) % m == v on [-T, T]
 
 first_reaching runs a Euclidean descent: the modulus at least halves per
@@ -77,24 +76,6 @@ def first_reaching(a: int, c: int, m: int, s: int, limit: int | None = None):
         m, a, lo = stack.pop()
         res = (m * res + lo + a - 1) // a
     return res
-
-
-def min_affine_prefix(a: int, c: int, m: int, n: int) -> tuple[int, int]:
-    """(value, x): minimum of (a*x + c) % m over 0 <= x <= n and the smallest
-    x attaining it. n >= 0 required."""
-    if n < 0:
-        raise ValueError("empty range")
-    a %= m
-    c %= m
-    lo_s, hi_s = 0, c  # x = 0 attains c, so the min is <= c
-    while lo_s < hi_s:
-        mid = (lo_s + hi_s) // 2
-        x = first_reaching(a, c, m, mid)
-        if x is not None and x <= n:
-            hi_s = mid
-        else:
-            lo_s = mid + 1
-    return lo_s, first_reaching(a, c, m, lo_s)
 
 
 def congruence_solutions_in_range(a: int, c: int, v: int, m: int, T: int):

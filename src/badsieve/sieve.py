@@ -2,7 +2,7 @@
 stays off every resonance line of the best approximation vectors.
 
 Level n holds a rectangle [b1, b1 + delta/R^(2n)] x [b2, b2 + delta/R^n]
-with delta = 1/R^3, epsilon = 1/R^4. One step subdivides it into an
+with delta = 1/R^3, epsilon = 1/R^4. One step splits it into an
 R^2 x R grid of children, kills every child whose closed form-value range
 (for any vector in the current height window) meets an open strip
 (c - eps, c + eps) around an integer, and descends into a surviving child.
@@ -12,12 +12,15 @@ M^2 <= R^(2N) by more than epsilon.
 Killed children are located by walking the integer strip values c across
 the rectangle's form range and intersecting each strip with the child grid
 row by row; the full R^3 scan exists only as an oracle in the verify module.
+
+A resumed run replays journaled levels without re-marking them, after
+checking that each one sits on this run's rectangle and lists the vector
+windows this run's sequence gives for that level.
 """
 
 from __future__ import annotations
 
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor
@@ -66,14 +69,6 @@ class SieveConfig:
         return Fraction(1, self.R**4)
 
     @property
-    def alpha_exp(self) -> Fraction:
-        return Fraction(2, 3)
-
-    @property
-    def beta_exp(self) -> Fraction:
-        return Fraction(1, 3)
-
-    @property
     def log2R_ceil(self) -> int:
         return (self.R - 1).bit_length()
 
@@ -114,13 +109,6 @@ def child_rect(B: Rectangle, cfg: SieveConfig, i: int, j: int) -> Rectangle:
     return Rectangle(B.b1 + i * cw1, B.b2 + j * cw2, B.level + 1)
 
 
-def subdivide(B: Rectangle, cfg: SieveConfig) -> dict[tuple[int, int], Rectangle]:
-    R = cfg.R
-    return {
-        (i, j): child_rect(B, cfg, i, j) for i in range(R * R) for j in range(R)
-    }
-
-
 def _strip_values(lo: Fraction, hi: Fraction, eps: Fraction) -> range:
     """Integers c whose open strip (c-eps, c+eps) can meet [lo, hi]."""
     return range(ceil(lo - eps), floor(hi + eps) + 1)
@@ -142,18 +130,9 @@ def rect_clear(B: Rectangle, v, cfg: SieveConfig) -> bool:
 def dangerous_children(
     B: Rectangle, v, cfg: SieveConfig
 ) -> set[tuple[int, int]]:
-    killed, _rows, _cols = _mark_children(B, v, cfg)
-    return killed
-
-
-def dangerous_children_detail(B: Rectangle, v, cfg: SieveConfig):
-    """(killed set, row map j -> strip values c with kills in that row,
-    column map i -> strip values c with kills in that column). The maps feed
-    the single-strip diagnostics: rows for Type1 vectors, columns for Type2."""
-    return _mark_children(B, v, cfg)
-
-
-def _mark_children(B: Rectangle, v, cfg: SieveConfig):
+    """Children (i, j) of B whose closed form-value range for v meets an open
+    strip (c - eps, c + eps): each strip kills one contiguous i-range per
+    row j."""
     R = cfg.R
     m1, m2 = v.m1, v.m2
     w1, w2 = B.widths(cfg)
@@ -168,8 +147,6 @@ def _mark_children(B: Rectangle, v, cfg: SieveConfig):
     f00 = m1 * B.b1 + m2 * B.b2
     step = m1 * cw1
     killed: set[tuple[int, int]] = set()
-    rows: dict[int, set[int]] = {}
-    cols: dict[int, set[int]] = {}
     for c in _strip_values(lo, hi, eps):
         # dangerous for this c  <=>  c - eps - pospart < f_ij < c + eps - negpart
         f_lo = c - eps - pospart
@@ -190,11 +167,8 @@ def _mark_children(B: Rectangle, v, cfg: SieveConfig):
                 i_max = min(ceil(b) - 1, R * R - 1)
                 if i_min > i_max:
                     continue
-            rows.setdefault(j, set()).add(c)
-            for i in range(i_min, i_max + 1):
-                killed.add((i, j))
-                cols.setdefault(i, set()).add(c)
-    return killed, rows, cols
+            killed.update((i, j) for i in range(i_min, i_max + 1))
+    return killed
 
 
 def gap_condition(B: Rectangle, v, cfg: SieveConfig) -> bool:
@@ -303,19 +277,12 @@ def sieve_step(
     cfg: SieveConfig,
     rect: Rectangle,
     seq: BestApproxSequence,
-    threads: int = 1,
 ) -> tuple[Rectangle, LevelRecord]:
     n = rect.level
     win1 = type_window(seq, TYPE1, cfg.R, n)
     win2 = type_window(seq, TYPE2, cfg.R, n)
     vectors = win1 + win2
-    if threads > 1 and len(vectors) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            kill_sets = list(
-                pool.map(lambda v: dangerous_children(rect, v, cfg), vectors)
-            )
-    else:
-        kill_sets = [dangerous_children(rect, v, cfg) for v in vectors]
+    kill_sets = [dangerous_children(rect, v, cfg) for v in vectors]
     marks = [
         VectorMark(
             index=v.index,
@@ -386,12 +353,12 @@ def run_sieve(
     theta: ThetaForm,
     cfg: SieveConfig,
     seq: BestApproxSequence,
-    threads: int = 1,
     resume_levels: tuple[LevelRecord, ...] = (),
 ) -> tuple[Certificate, RunJournal]:
     """Full descent to cfg.depth. seq must be complete to R^(2 depth) (and at
     least to 1). resume_levels replays already-journaled choices without
-    re-marking, then the loop continues from there."""
+    re-marking, then the loop continues from there; a record whose rectangle
+    or vector windows differ from what this run computes is rejected."""
     if seq.theta != theta:
         raise ConfigError("sequence was built for a different theta")
     need = max(1, cfg.height_sq_bound())
@@ -407,12 +374,21 @@ def run_sieve(
     base = rect
     levels: list[LevelRecord] = []
     for rec in resume_levels:
-        if rec.level != rect.level or rec.rect != rect:
+        n = rect.level
+        if rec.level != n or rec.rect != rect:
             raise ConfigError("resume records do not replay onto this run")
+        if (rec.window1, rec.window2) != tuple(
+            tuple(v.index for v in type_window(seq, kind, cfg.R, n))
+            for kind in (TYPE1, TYPE2)
+        ):
+            raise ConfigError(
+                f"resume record for level {n} lists vector windows that "
+                "differ from the sequence"
+            )
         levels.append(rec)
         rect = child_rect(rect, cfg, *rec.chosen)
     while rect.level < cfg.depth:
-        rect, rec = sieve_step(cfg, rect, seq, threads=threads)
+        rect, rec = sieve_step(cfg, rect, seq)
         levels.append(rec)
 
     eta = rect.center(cfg)

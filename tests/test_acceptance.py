@@ -250,27 +250,29 @@ def test_criterion_8_strip_walk_equals_grid():
     )
 
 
-def test_criterion_9_thread_count_determinism(tmp_path):
+def test_criterion_9_resume_determinism(tmp_path):
+    base = [
+        "construct", "--catalog", "sqrt2-sqrt3", "--R", "8", "--depth", "3",
+        "--policy", "random", "--seed", "7",
+    ]
+    fresh = tmp_path / "fresh"
+    assert main(base + ["--out", str(fresh)]) == 0
+    lines = (fresh / "journal.jsonl").read_text().splitlines(keepends=True)
     outs = []
-    for t in ("1", "3"):
-        out = tmp_path / f"threads{t}"
-        code = main(
-            [
-                "construct", "--catalog", "sqrt2-sqrt3", "--R", "8",
-                "--depth", "3", "--threads", t, "--out", str(out),
-            ]
-        )
-        assert code == 0
+    for kept in (1, 2):  # header + kept levels
+        partial = tmp_path / f"partial{kept}.jsonl"
+        partial.write_text("".join(lines[: 1 + kept]))
+        out = tmp_path / f"resumed{kept}"
+        assert main(["construct", "--resume", str(partial), "--out", str(out)]) == 0
         outs.append(out)
-    a, b = outs
-    same = (a / "journal.jsonl").read_bytes() == (
-        b / "journal.jsonl"
-    ).read_bytes() and (a / "certificate.json").read_bytes() == (
-        b / "certificate.json"
-    ).read_bytes()
+    same = all(
+        (out / name).read_bytes() == (fresh / name).read_bytes()
+        for out in outs
+        for name in ("journal.jsonl", "certificate.json")
+    )
     report(
         9,
         same,
-        "cmd_construct with threads=1 and threads=3 emits bit-identical "
-        "journal and certificate files",
+        "cmd_construct resumed from header + 1 level and header + 2 levels "
+        "emits journal and certificate files bit-identical to a fresh run",
     )

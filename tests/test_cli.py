@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -155,23 +156,95 @@ def test_resume_flag_conflict(small_run, tmp_path, capsys):
     assert "conflicts" in capsys.readouterr().err
 
 
-def test_thread_count_identical_bytes(tmp_path):
-    outs = []
-    for t in ("1", "3"):
-        out = tmp_path / f"t{t}"
-        assert (
-            run_cli(
-                "construct", "--catalog", "golden-pair", "--R", "4",
-                "--depth", "2", "--threads", t, "--out", str(out),
-            )
-            == 0
-        )
-        outs.append(out)
-    a, b = outs
-    assert (a / "journal.jsonl").read_bytes() == (b / "journal.jsonl").read_bytes()
-    assert (
-        a / "certificate.json"
-    ).read_bytes() == (b / "certificate.json").read_bytes()
+def test_construct_threads_flag_is_unknown(tmp_path, capsys):
+    code = run_cli(
+        "construct", "--catalog", "golden-pair", "--R", "4", "--depth", "2",
+        "--threads", "3", "--out", str(tmp_path),
+    )
+    assert code == 5
+    assert "unrecognized arguments: --threads" in capsys.readouterr().err
+
+
+# Structurally wrong journals and certificates: valid JSON, wrong shape.
+# Each maker gets the small run's (journal text, certificate text).
+MALFORMED = {
+    "journal-header-only": (
+        "construct", lambda j, c: '{"type":"header","schema":1}\n'
+    ),
+    "journal-R-string": ("construct", lambda j, c: j.replace('"R":8', '"R":"8"', 1)),
+    "journal-line-array": ("construct", lambda j, c: j + "[1,2]\n"),
+    "journal-level-no-chosen": (
+        "construct", lambda j, c: j.replace(',"chosen":[', ',"picked":[', 1)
+    ),
+    "journal-mark-gap-ok-string": (
+        "construct",
+        lambda j, c: re.sub(r'"gap_ok":(true|false)', r'"gap_ok":"\1"', j, count=1),
+    ),
+    "certificate-array": ("verify", lambda j, c: "[1,2]"),
+    "certificate-no-theta": ("verify", lambda j, c: '{"kind":"certificate","schema":1}'),
+    "certificate-eta-number": (
+        "verify", lambda j, c: c.replace('"eta": [', '"eta": [1, ', 1)
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_input_exits_5(small_run, tmp_path, capsys, case):
+    command, make = MALFORMED[case]
+    text = make(
+        (small_run / "journal.jsonl").read_text(),
+        (small_run / "certificate.json").read_text(),
+    )
+    path = tmp_path / "input"
+    path.write_text(text)
+    if command == "construct":
+        argv = ["construct", "--resume", str(path), "--out", str(tmp_path / "o")]
+    else:
+        argv = ["verify", str(path), "--Q", "1"]
+    assert run_cli(*argv) == 5
+    assert "config error" in capsys.readouterr().err
+
+
+def _resume_from(small_run, tmp_path, edit):
+    """Resume from the header + level 0 of the small run after edit(records)
+    has tampered with the parsed records; returns (exit code, output dir)."""
+    lines = (small_run / "journal.jsonl").read_text().splitlines()[:2]
+    records = [json.loads(line) for line in lines]
+    edit(records)
+    trunc = tmp_path / "tampered.jsonl"
+    trunc.write_text(
+        "".join(json.dumps(r, separators=(",", ":")) + "\n" for r in records)
+    )
+    out = tmp_path / "resumed"
+    return run_cli("construct", "--resume", str(trunc), "--out", str(out)), out
+
+
+@pytest.mark.parametrize(
+    "keys",
+    [
+        ("theta_fingerprint",),
+        ("sequence_fingerprint",),
+        ("theta_fingerprint", "sequence_fingerprint"),
+    ],
+)
+def test_resume_tampered_fingerprint_exits_5(small_run, tmp_path, capsys, keys):
+    def zero(records):
+        for key in keys:
+            records[0][key] = "sha256:" + "0" * 32
+
+    code, out = _resume_from(small_run, tmp_path, zero)
+    assert code == 5
+    assert "fingerprint mismatch" in capsys.readouterr().err
+    assert not (out / "journal.jsonl").exists()
+
+
+def test_resume_tampered_window_exits_5(small_run, tmp_path, capsys):
+    code, out = _resume_from(
+        small_run, tmp_path, lambda records: records[1]["window1"].append(99)
+    )
+    assert code == 5
+    assert "windows" in capsys.readouterr().err
+    assert not (out / "journal.jsonl").exists()
 
 
 def test_crosscheck_small(capsys):

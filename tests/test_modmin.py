@@ -6,11 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from badsieve.modmin import (
-    congruence_solutions_in_range,
-    first_reaching,
-    min_affine_prefix,
-)
+from badsieve.modmin import congruence_solutions_in_range, first_reaching
 
 
 def brute_first_reaching(a, c, m, s, limit=20000):
@@ -42,11 +38,6 @@ def descent_levels(*args):
     finally:
         sys.settrace(None)
     return res, levels
-
-
-def brute_min_prefix(a, c, m, n):
-    vals = [((a * x + c) % m, x) for x in range(n + 1)]
-    return min(vals)
 
 
 def test_first_reaching_small_exhaustive():
@@ -165,19 +156,6 @@ def test_first_reaching_huge_modulus():
     assert (a * x) % m <= 10**40
     for probe in range(1, 500):
         assert (a * probe) % m > 10**40
-
-
-@settings(max_examples=200, deadline=None)
-@given(
-    m=st.integers(min_value=1, max_value=10**5),
-    a=st.integers(min_value=0, max_value=10**5),
-    c=st.integers(min_value=0, max_value=10**5),
-    n=st.integers(min_value=0, max_value=400),
-)
-def test_min_affine_prefix(m, a, c, n):
-    val, x = min_affine_prefix(a, c, m, n)
-    bval, bx = brute_min_prefix(a, c, m, n)
-    assert (val, x) == (bval, bx)
 
 
 @settings(max_examples=300, deadline=None)
