@@ -155,7 +155,7 @@ def cmd_best_approx(args) -> int:
 def _print_level_table(levels, cfg):
     head = (
         f"{'level':>5}  {'win1':>4} {'win2':>4}  {'t1_kills':>8} {'t2_kills':>8}"
-        f"  {'union':>6} {'survivors':>9}  {'union_bound':>11}"
+        f"  {'union':>6} {'survivors':>13}  {'kill_rate':>9}  {'union_bound':>13}"
     )
     print(head)
     for rec in levels:
@@ -163,7 +163,8 @@ def _print_level_table(levels, cfg):
         print(
             f"{rec.level:>5}  {len(rec.window1):>4} {len(rec.window2):>4}"
             f"  {s.type1_total:>8} {s.type2_total:>8}"
-            f"  {s.union_kills:>6} {s.survivors:>9}  {s.union_bound:>11}"
+            f"  {s.union_kills:>6} {s.survivors:>13}"
+            f"  {s.union_kills / cfg.R**3:>9.3e}  {s.union_bound:>13}"
         )
 
 
@@ -338,23 +339,46 @@ def cmd_crosscheck(args) -> int:
         _, journal = run_sieve(theta, cfg, seq)
         checked = 0
         for rec in journal.levels:
+            killed = set()
             for k in rec.window1 + rec.window2:
                 v = seq.vectors[k - 1]
                 strip = dangerous_children(rec.rect, v, cfg)
                 grid = grid_dangerous_children(rec.rect, v, cfg)
                 if strip != grid:
                     ok = False
-                    extra = sorted(strip - grid)[:5]
-                    missing = sorted(grid - strip)[:5]
+                    j = min(
+                        j
+                        for j in strip.keys() | grid.keys()
+                        if strip.get(j) != grid.get(j)
+                    )
                     print(
                         f"strip oracle: {name} level {rec.level} vector "
-                        f"({v.m1},{v.m2}): DIVERGENCE extra={extra} "
-                        f"missing={missing}"
+                        f"({v.m1},{v.m2}): DIVERGENCE in row {j}: "
+                        f"strip {strip.get(j, [])} grid {grid.get(j, [])}"
                     )
+                killed.update(
+                    (i, j)
+                    for j, runs in grid.items()
+                    for lo, hi in runs
+                    for i in range(lo, hi + 1)
+                )
                 checked += 1
+            if rec.chosen in killed:
+                ok = False
+                print(
+                    f"pick oracle: {name} level {rec.level}: chosen child "
+                    f"{rec.chosen} is killed"
+                )
+            if rec.stats.union_kills != len(killed):
+                ok = False
+                print(
+                    f"union oracle: {name} level {rec.level}: union_kills "
+                    f"{rec.stats.union_kills} != grid union {len(killed)}"
+                )
         print(
             f"strip oracle: {name} R={cfg.R} depth={cfg.depth}: "
-            f"{checked} (level, vector) pairs compared"
+            f"{checked} (level, vector) pairs compared; chosen child and "
+            f"union size checked on {len(journal.levels)} levels"
         )
 
     if not ok:

@@ -11,19 +11,24 @@ M^2 <= R^(2N) by more than epsilon.
 
 Killed children are located by walking the integer strip values c across
 the rectangle's form range and intersecting each strip with the child grid
-row by row; the full R^3 scan exists only as an oracle in the verify module.
+row by row. Each strip kills one contiguous i-range per row j, so a level
+never lists its R^3 children: every vector's kills are kept as merged
+closed i-ranges per row, the union is merged per row, and the survivor is
+picked by a sweep over the range endpoints. Time and memory are
+O(window x strips x R) per level; the full R^3 scan exists only as an
+oracle in the verify module.
 
-A resumed run replays journaled levels without re-marking them, after
-checking that each one sits on this run's rectangle and lists the vector
-windows this run's sequence gives for that level.
+A resumed run recomputes every journaled level and rejects a record that
+differs from the recomputed one in any field.
 """
 
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, floor
+from math import ceil, floor, inf, lcm
 
 from .bestapprox import (
     TYPE1,
@@ -127,13 +132,35 @@ def rect_clear(B: Rectangle, v, cfg: SieveConfig) -> bool:
     return True
 
 
-def dangerous_children(
-    B: Rectangle, v, cfg: SieveConfig
-) -> set[tuple[int, int]]:
+def merge_ranges(ranges: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    """Sorted, disjoint, non-touching closed ranges covering the same
+    integers as the given ones."""
+    out: list[tuple[int, int]] = []
+    for lo, hi in sorted(ranges):
+        if out and lo <= out[-1][1] + 1:
+            if hi > out[-1][1]:
+                out[-1] = (out[-1][0], hi)
+        else:
+            out.append((lo, hi))
+    return out
+
+
+# Children (i, j) as closed i-ranges per row: rows[j] lists sorted, disjoint,
+# non-touching ranges (i_lo, i_hi); rows without any range are absent.
+KillRows = dict[int, list[tuple[int, int]]]
+
+
+def _count_covered(rows: KillRows) -> int:
+    """Number of children covered by per-row merged ranges."""
+    return sum(hi - lo + 1 for ranges in rows.values() for lo, hi in ranges)
+
+
+def dangerous_children(B: Rectangle, v, cfg: SieveConfig) -> KillRows:
     """Children (i, j) of B whose closed form-value range for v meets an open
-    strip (c - eps, c + eps): each strip kills one contiguous i-range per
-    row j."""
+    strip (c - eps, c + eps), as KillRows. Each strip kills one contiguous
+    i-range per row j."""
     R = cfg.R
+    last = R * R - 1
     m1, m2 = v.m1, v.m2
     w1, w2 = B.widths(cfg)
     cw1 = w1 / (R * R)
@@ -146,29 +173,34 @@ def dangerous_children(
     pospart = max(m1, 0) * cw1 + max(m2, 0) * cw2
     f00 = m1 * B.b1 + m2 * B.b2
     step = m1 * cw1
-    killed: set[tuple[int, int]] = set()
+    rise = m2 * cw2  # f_ij - f_i0 = j * rise
+    rows: KillRows = {}
     for c in _strip_values(lo, hi, eps):
         # dangerous for this c  <=>  c - eps - pospart < f_ij < c + eps - negpart
         f_lo = c - eps - pospart
         f_hi = c + eps - negpart
+        if m1 == 0:
+            for j in range(R):
+                if f_lo < f00 + j * rise < f_hi:
+                    rows.setdefault(j, []).append((0, last))
+            continue
+        # row j kills the integers i strictly between a - j*d and b - j*d;
+        # over a common denominator den both ends are integers over den
+        a, b = (f_lo - f00) / step, (f_hi - f00) / step
+        if step < 0:
+            a, b = b, a
+        d = rise / step
+        den = lcm(a.denominator, b.denominator, d.denominator)
+        na = a.numerator * (den // a.denominator)
+        nb = b.numerator * (den // b.denominator)
+        nd = d.numerator * (den // d.denominator)
         for j in range(R):
-            g = f00 + j * m2 * cw2
-            if m1 == 0:
-                if f_lo < g < f_hi:
-                    i_min, i_max = 0, R * R - 1
-                else:
-                    continue
-            else:
-                a = (f_lo - g) / step
-                b = (f_hi - g) / step
-                if step < 0:
-                    a, b = b, a
-                i_min = max(floor(a) + 1, 0)
-                i_max = min(ceil(b) - 1, R * R - 1)
-                if i_min > i_max:
-                    continue
-            killed.update((i, j) for i in range(i_min, i_max + 1))
-    return killed
+            # floor(a_j) + 1 and ceil(b_j) - 1, clipped to the row
+            i_min = max((na - j * nd) // den + 1, 0)
+            i_max = min(-((j * nd - nb) // den) - 1, last)
+            if i_min <= i_max:
+                rows.setdefault(j, []).append((i_min, i_max))
+    return {j: merge_ranges(r) for j, r in rows.items()}
 
 
 def gap_condition(B: Rectangle, v, cfg: SieveConfig) -> bool:
@@ -273,44 +305,79 @@ class LevelRecord:
     chosen: tuple[int, int]
 
 
+def _row_covers(ranges: list[tuple[int, int]], i: int) -> bool:
+    p = bisect_right(ranges, (i, inf))  # ranges starting at or before i
+    return p > 0 and ranges[p - 1][1] >= i
+
+
+def kth_survivor(rows: KillRows, R: int, k: int) -> tuple[int, int]:
+    """The k-th (from 0) child (i, j), in i-major order, that no range of
+    rows covers; k must be below the number of such children.
+
+    A sweep over the range endpoints: between consecutive endpoints every
+    column i is covered by the same number of rows, so it keeps the same
+    number of survivors and whole blocks of columns are skipped at once.
+    Only the target column is resolved row by row."""
+    delta: dict[int, int] = {R * R: 0}
+    for ranges in rows.values():
+        for lo, hi in ranges:
+            delta[lo] = delta.get(lo, 0) + 1
+            delta[hi + 1] = delta.get(hi + 1, 0) - 1
+    cover = start = 0
+    for x in sorted(delta):
+        per_column = R - cover
+        block = (x - start) * per_column
+        if k < block:
+            i = start + k // per_column
+            r = k % per_column
+            for j in range(R):
+                if not _row_covers(rows.get(j, ()), i):
+                    if r == 0:
+                        return i, j
+                    r -= 1
+        k -= block
+        cover += delta[x]
+        start = x
+    raise InvariantViolation("survivor index beyond the surviving children")
+
+
 def sieve_step(
     cfg: SieveConfig,
     rect: Rectangle,
     seq: BestApproxSequence,
 ) -> tuple[Rectangle, LevelRecord]:
     n = rect.level
-    win1 = type_window(seq, TYPE1, cfg.R, n)
-    win2 = type_window(seq, TYPE2, cfg.R, n)
-    vectors = win1 + win2
-    kill_sets = [dangerous_children(rect, v, cfg) for v in vectors]
-    marks = [
-        VectorMark(
-            index=v.index,
-            kind=v.kind,
-            kills=len(ks),
-            gap_ok=gap_condition(rect, v, cfg),
-        )
-        for v, ks in zip(vectors, kill_sets)
-    ]
-    union: set[tuple[int, int]] = set()
-    for ks in kill_sets:
-        union |= ks
-    stats = DangerStats.collect(cfg, n, marks, len(union))
     R = cfg.R
-    survivors = [
-        (i, j) for i in range(R * R) for j in range(R) if (i, j) not in union
-    ]
-    if not survivors:
+    win1 = type_window(seq, TYPE1, R, n)
+    win2 = type_window(seq, TYPE2, R, n)
+    marks = []
+    union: KillRows = {}
+    for v in win1 + win2:
+        rows = dangerous_children(rect, v, cfg)
+        marks.append(
+            VectorMark(
+                index=v.index,
+                kind=v.kind,
+                kills=_count_covered(rows),
+                gap_ok=gap_condition(rect, v, cfg),
+            )
+        )
+        for j, ranges in rows.items():
+            union[j] = union.get(j, []) + ranges
+    union = {j: merge_ranges(r) for j, r in union.items()}
+    stats = DangerStats.collect(cfg, n, marks, _count_covered(union))
+    if stats.survivors == 0:
         raise NoSurvivor(
             n + 1,
             f"all {R**3} children killed while refining level {n}; "
             "R is below the workable scale for this theta",
         )
-    if cfg.policy == "lex":
-        chosen = survivors[0]
-    else:
-        rng = random.Random(f"{cfg.seed}:{n}")
-        chosen = survivors[rng.randrange(len(survivors))]
+    # the k-th survivor in i-major (i, j) order: the first for lex, a seeded
+    # draw for random
+    k = 0
+    if cfg.policy == "random":
+        k = random.Random(f"{cfg.seed}:{n}").randrange(stats.survivors)
+    chosen = kth_survivor(union, R, k)
     rec = LevelRecord(
         level=n,
         rect=rect,
@@ -349,6 +416,26 @@ class RunJournal:
     final: Rectangle
 
 
+def _check_replayed(old: LevelRecord, new: LevelRecord) -> None:
+    """A journaled level must equal the level this run recomputes."""
+    if old.level != new.level or old.rect != new.rect:
+        raise ConfigError("resume records do not replay onto this run")
+    diffs = [
+        what
+        for what, a, b in (
+            ("vector windows", (old.window1, old.window2), (new.window1, new.window2)),
+            ("marks, totals or survivors", old.stats, new.stats),
+            ("chosen child", old.chosen, new.chosen),
+        )
+        if a != b
+    ]
+    if diffs:
+        raise ConfigError(
+            f"resume record for level {old.level} differs from the recomputed "
+            f"level in its {', '.join(diffs)}"
+        )
+
+
 def run_sieve(
     theta: ThetaForm,
     cfg: SieveConfig,
@@ -356,9 +443,9 @@ def run_sieve(
     resume_levels: tuple[LevelRecord, ...] = (),
 ) -> tuple[Certificate, RunJournal]:
     """Full descent to cfg.depth. seq must be complete to R^(2 depth) (and at
-    least to 1). resume_levels replays already-journaled choices without
-    re-marking, then the loop continues from there; a record whose rectangle
-    or vector windows differ from what this run computes is rejected."""
+    least to 1). resume_levels are already-journaled levels: each is
+    recomputed on its rectangle and must match the recomputed record
+    exactly, else ConfigError; the loop then continues past them."""
     if seq.theta != theta:
         raise ConfigError("sequence was built for a different theta")
     need = max(1, cfg.height_sq_bound())
@@ -370,25 +457,18 @@ def run_sieve(
     if seq.vectors:
         validate_precision(theta, seq.height_sq_max, seq.vectors[-1].zeta)
 
+    if len(resume_levels) > cfg.depth:
+        raise ConfigError(
+            f"resume journal holds {len(resume_levels)} levels, more than "
+            f"depth {cfg.depth}"
+        )
     rect = select_base(theta, cfg, seq)
     base = rect
     levels: list[LevelRecord] = []
-    for rec in resume_levels:
-        n = rect.level
-        if rec.level != n or rec.rect != rect:
-            raise ConfigError("resume records do not replay onto this run")
-        if (rec.window1, rec.window2) != tuple(
-            tuple(v.index for v in type_window(seq, kind, cfg.R, n))
-            for kind in (TYPE1, TYPE2)
-        ):
-            raise ConfigError(
-                f"resume record for level {n} lists vector windows that "
-                "differ from the sequence"
-            )
-        levels.append(rec)
-        rect = child_rect(rect, cfg, *rec.chosen)
     while rect.level < cfg.depth:
         rect, rec = sieve_step(cfg, rect, seq)
+        if rec.level < len(resume_levels):
+            _check_replayed(resume_levels[rec.level], rec)
         levels.append(rec)
 
     eta = rect.center(cfg)

@@ -205,12 +205,14 @@ def brute_best_approx(theta: ThetaForm, height_sq_max: int) -> BestApproxSequenc
     return BestApproxSequence(theta=theta, height_sq_max=H, vectors=tuple(vectors))
 
 
-def grid_dangerous_children(B, v, cfg) -> set[tuple[int, int]]:
+def grid_dangerous_children(B, v, cfg) -> dict[int, list[tuple[int, int]]]:
     """Full-grid reference marking: test every child rectangle directly.
 
     A child is dangerous when its closed form-value range meets the open
-    strip (c - eps, c + eps) for some integer c. O(R^3) per vector; exists
-    purely to audit the strip-walking implementation."""
+    strip (c - eps, c + eps) for some integer c. Returned in the strip
+    walk's shape: rows[j] lists the runs of consecutive dangerous i in row j
+    as closed ranges (i_lo, i_hi), and rows without any are absent. O(R^3)
+    per vector; exists purely to audit the strip-walking implementation."""
     R = cfg.R
     n = B.level
     w1 = cfg.delta / R ** (2 * n)
@@ -218,16 +220,20 @@ def grid_dangerous_children(B, v, cfg) -> set[tuple[int, int]]:
     cw1 = w1 / R**2
     cw2 = w2 / R
     eps = cfg.epsilon
-    out = set()
-    for i in range(R * R):
-        for j in range(R):
+    rows = {}
+    for j in range(R):
+        runs: list[tuple[int, int]] = []
+        for i in range(R * R):
             lo, hi = form_range(
                 v.m1, v.m2, B.b1 + i * cw1, B.b2 + j * cw2, cw1, cw2
             )
             c_lo = ceil(lo - eps)
             c_hi = floor(hi + eps)
-            for c in range(c_lo, c_hi + 1):
-                if lo < c + eps and hi > c - eps:
-                    out.add((i, j))
-                    break
-    return out
+            if any(lo < c + eps and hi > c - eps for c in range(c_lo, c_hi + 1)):
+                if runs and runs[-1][1] == i - 1:
+                    runs[-1] = (runs[-1][0], i)
+                else:
+                    runs.append((i, i))
+        if runs:
+            rows[j] = runs
+    return rows

@@ -7,10 +7,11 @@ alongside the mathematical checks.
 """
 
 import time
+import tracemalloc
 
 import pytest
 
-from conftest import ACCEPTANCE_LINES
+from conftest import ACCEPTANCE_LINES, expand_rows
 
 from badsieve.bestapprox import (
     audit_growth,
@@ -166,6 +167,54 @@ def test_criterion_4_sieve_validity(full_runs):
         "R=16 depth=4: survivors>=1 each level, per-vector kills <= "
         f"1280/1536, totals < 1024000; union kills per level {' '.join(details)}",
     )
+
+
+def test_sieve_kills_equal_grid_oracle():
+    # criterion 4 passes with zero kills at every level; this run of the
+    # same checks at R=8 kills children, and every count must equal the
+    # full-grid oracle's
+    cfg = SieveConfig(R=8, depth=3)
+    for name in ("sqrt2-sqrt3", "golden-pair"):
+        theta = get_entry(name).theta
+        seq = enumerate_best_approx(theta, cfg.height_sq_bound())
+        _cert, journal = run_sieve(theta, cfg, seq)
+        levels_with_kills = 0
+        for rec in journal.levels:
+            union = set()
+            for mark in rec.stats.per_vector:
+                v = seq.vectors[mark.index - 1]
+                killed = expand_rows(grid_dangerous_children(rec.rect, v, cfg))
+                assert mark.kills == len(killed)
+                union |= killed
+            assert rec.stats.union_kills == len(union)
+            assert rec.stats.survivors == cfg.R**3 - len(union)
+            assert rec.chosen not in union
+            levels_with_kills += bool(union)
+        assert levels_with_kills > 0, name
+
+
+def test_paper_scale_sieve():
+    # R = 2^14 is the smallest power of two where the a-priori union bound
+    # 1000 R^2 ceil(log2 R) < R^3 holds; R^3 = 2^42 children per level, so
+    # nothing in the sieve may grow with R^3
+    cfg = SieveConfig(R=16384, depth=1)
+    assert cfg.scale_valid
+    theta = get_entry("liouville").theta
+    seq = enumerate_best_approx(theta, cfg.height_sq_bound())
+    tracemalloc.start()
+    try:
+        cert, journal = run_sieve(theta, cfg, seq)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+    (rec,) = journal.levels
+    s = rec.stats
+    assert s.survivors == cfg.R**3 - s.union_kills
+    for m in s.per_vector:
+        assert m.kills <= (s.h1_bound if m.kind == 1 else s.h2_bound)
+    assert s.type1_total + s.type2_total < s.union_bound
+    assert cert.verified_form_min > cfg.epsilon
 
 
 def test_criterion_5_certificate_soundness(full_runs):

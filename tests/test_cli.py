@@ -6,10 +6,13 @@ from fractions import Fraction
 
 import pytest
 
+from badsieve.bestapprox import enumerate_best_approx
 from badsieve.cli import main
 from badsieve.catalog import get_entry
-from badsieve.journal import parse_certificate
+from badsieve.journal import parse_certificate, parse_journal
 from badsieve.rationals import dist_to_nearest_int
+from badsieve.sieve import SieveConfig
+from badsieve.verify import grid_dangerous_children
 
 
 def run_cli(*argv):
@@ -205,10 +208,11 @@ def test_malformed_input_exits_5(small_run, tmp_path, capsys, case):
     assert "config error" in capsys.readouterr().err
 
 
-def _resume_from(small_run, tmp_path, edit):
-    """Resume from the header + level 0 of the small run after edit(records)
-    has tampered with the parsed records; returns (exit code, output dir)."""
-    lines = (small_run / "journal.jsonl").read_text().splitlines()[:2]
+def _resume_from(small_run, tmp_path, edit, levels=1):
+    """Resume from the header + the first levels of the small run after
+    edit(records) has tampered with the parsed records; returns (exit code,
+    output dir)."""
+    lines = (small_run / "journal.jsonl").read_text().splitlines()[: 1 + levels]
     records = [json.loads(line) for line in lines]
     edit(records)
     trunc = tmp_path / "tampered.jsonl"
@@ -244,6 +248,44 @@ def test_resume_tampered_window_exits_5(small_run, tmp_path, capsys):
     )
     assert code == 5
     assert "windows" in capsys.readouterr().err
+    assert not (out / "journal.jsonl").exists()
+
+
+def test_resume_tampered_kills_exits_5(small_run, tmp_path, capsys):
+    # the totals still agree with the marks, so only re-marking can tell
+    def inflate(records):
+        mark = records[1]["marks"][0]
+        mark["kills"] += 5
+        records[1]["type1_total" if mark["kind"] == 1 else "type2_total"] += 5
+
+    code, out = _resume_from(small_run, tmp_path, inflate)
+    assert code == 5
+    assert "marks" in capsys.readouterr().err
+    assert not (out / "journal.jsonl").exists()
+
+
+def test_resume_killed_chosen_exits_5(small_run, tmp_path, capsys):
+    theta = get_entry("sqrt2-sqrt3").theta
+    cfg = SieveConfig(R=8, depth=3)
+    seq = enumerate_best_approx(theta, cfg.height_sq_bound())
+    *_, levels, _final = parse_journal((small_run / "journal.jsonl").read_text())
+    rec = levels[1]
+    killed = [
+        (lo, j)
+        for k in rec.window1 + rec.window2
+        for j, runs in grid_dangerous_children(
+            rec.rect, seq.vectors[k - 1], cfg
+        ).items()
+        for lo, _hi in runs
+    ]
+    assert killed
+
+    def pick_killed(records):
+        records[2]["chosen"] = list(killed[0])
+
+    code, out = _resume_from(small_run, tmp_path, pick_killed, levels=2)
+    assert code == 5
+    assert "chosen child" in capsys.readouterr().err
     assert not (out / "journal.jsonl").exists()
 
 

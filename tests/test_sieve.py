@@ -1,7 +1,11 @@
+import random
+
 import pytest
 from fractions import Fraction
 from math import ceil, floor
 from types import SimpleNamespace
+
+from conftest import expand_rows
 
 from badsieve.bestapprox import (
     BestApproxSequence,
@@ -25,6 +29,8 @@ from badsieve.sieve import (
     child_rect,
     dangerous_children,
     gap_condition,
+    kth_survivor,
+    merge_ranges,
     rect_clear,
     run_sieve,
     select_base,
@@ -125,12 +131,16 @@ def test_axis_vector_kills_left_band():
     cfg = SieveConfig(R=4, depth=1)
     B = Rectangle(Fraction(0), Fraction(0), 0)
     killed = dangerous_children(B, fake_vec(1, 0), cfg)
-    assert killed == {(i, j) for i in range(4) for j in range(4)}
+    assert killed == {j: [(0, 3)] for j in range(4)}
 
 
 @pytest.mark.parametrize(
     "m1,m2",
-    [(1, 0), (0, 1), (1, 1), (-1, 1), (5, 2), (-7, 3), (16, 1), (-2, 4)],
+    [
+        (1, 0), (0, 1), (1, 1), (-1, 1), (5, 2), (-7, 3), (16, 1), (-2, 4),
+        # several ranges per row; strips whose row ranges overlap or touch
+        (0, 70), (300, 1), (-450, 13), (96, -40), (-1000, 250), (700, 200),
+    ],
 )
 def test_strip_walk_matches_grid_oracle(m1, m2):
     cfg = SieveConfig(R=4, depth=2)
@@ -142,6 +152,79 @@ def test_strip_walk_matches_grid_oracle(m1, m2):
         assert dangerous_children(rect, v, cfg) == grid_dangerous_children(
             rect, v, cfg
         )
+
+
+# --------------------------------------------------------- survivor pick
+
+
+def brute_survivors(rows, R):
+    killed = expand_rows(rows)
+    return [
+        (i, j) for i in range(R * R) for j in range(R) if (i, j) not in killed
+    ]
+
+
+def pick_patterns(R):
+    """Raw per-row kill ranges, not yet merged: empty rows, fully killed rows
+    (the m1 = 0 case), touching and overlapping ranges, ranges at both row
+    ends, and seeded random mixes of these."""
+    last = R * R - 1
+    yield {}
+    yield {j: [(0, last)] for j in range(0, R, 2)}
+    yield {**{j: [(0, last)] for j in range(R - 1)}, R - 1: [(last, last)]}
+    yield {j: [(0, 0), (last, last)] for j in range(R)}
+    yield {j: [(R, 2 * R - 1), (0, R - 1)] for j in range(R)}  # touching
+    yield {j: [(1, R + 1), (R, 2 * R)] for j in range(R)}  # overlapping
+    yield {j: [(j, j + 1)] for j in range(R)}  # staircase across rows
+    rng = random.Random(f"pick:{R}")
+    for _ in range(25):
+        rows = {}
+        for j in range(R):
+            for _ in range(rng.choice((0, 0, 1, 2, 3))):
+                lo = rng.choice((0, last, rng.randrange(R * R)))
+                hi = rng.choice((lo, last, min(last, lo + rng.randrange(2 * R))))
+                rows.setdefault(j, []).append((lo, max(lo, hi)))
+        yield rows
+
+
+@pytest.mark.parametrize("R", [2, 3, 4, 8])
+def test_kth_survivor_matches_listing(R):
+    patterns = 0
+    for raw in pick_patterns(R):
+        rows = {j: merge_ranges(r) for j, r in raw.items()}
+        assert expand_rows(rows) == expand_rows(raw)
+        for ranges in rows.values():  # sorted, disjoint, non-touching
+            assert all(a[1] + 1 < b[0] for a, b in zip(ranges, ranges[1:]))
+        survivors = brute_survivors(raw, R)
+        for k, child in enumerate(survivors):
+            assert kth_survivor(rows, R, k) == child
+        patterns += 1
+    assert patterns == 32
+
+
+def test_step_pick_follows_listing_order():
+    # lex takes the first survivor in i-major order, random the survivor
+    # that the seeded draw over the survivor count names
+    theta = SQRT_PAIR
+    seq = enumerate_best_approx(theta, 8**6)
+    for policy, seed in [("lex", 0), ("random", 3), ("random", 11)]:
+        cfg = SieveConfig(R=8, depth=3, policy=policy, seed=seed)
+        _, journal = run_sieve(theta, cfg, seq)
+        for rec in journal.levels:
+            vectors = [seq.vectors[k - 1] for k in rec.window1 + rec.window2]
+            killed = set()
+            for v in vectors:
+                killed |= expand_rows(grid_dangerous_children(rec.rect, v, cfg))
+            survivors = [
+                (i, j)
+                for i in range(cfg.R**2)
+                for j in range(cfg.R)
+                if (i, j) not in killed
+            ]
+            k = 0
+            if policy == "random":
+                k = random.Random(f"{seed}:{rec.level}").randrange(len(survivors))
+            assert rec.chosen == survivors[k]
 
 
 def test_rect_clear_open_strip_boundary():
@@ -307,6 +390,24 @@ def test_step_with_empty_windows_keeps_all_children():
     assert child == child_rect(rect, cfg, 0, 0)
 
 
+def test_step_union_merges_overlapping_kills():
+    # (4,0) kills columns 7..8 of every row, inside the 6..9 that (2,0) kills
+    theta = SQRT_PAIR
+    seq = fabricated_seq(theta, [(2, 0), (4, 0)], hmax=16)
+    rect = Rectangle(Fraction(1, 2) - Fraction(1, 128), Fraction(1, 4), 0)
+    for policy, seed in [("lex", 0), ("random", 5)]:
+        cfg = SieveConfig(R=4, depth=1, policy=policy, seed=seed)
+        _, rec = sieve_step(cfg, rect, seq)
+        assert [m.kills for m in rec.stats.per_vector] == [16, 8]
+        assert rec.stats.union_kills == 16
+        assert rec.stats.survivors == 64 - 16
+        survivors = [
+            (i, j) for i in range(16) for j in range(4) if not 6 <= i <= 9
+        ]
+        k = 0 if policy == "lex" else random.Random(f"{seed}:0").randrange(48)
+        assert rec.chosen == survivors[k]
+
+
 def test_run_sieve_nesting_and_margin():
     theta = SQRT_PAIR
     cfg = SieveConfig(R=8, depth=3)
@@ -325,8 +426,8 @@ def test_run_sieve_nesting_and_margin():
     # the chosen child is never a killed child (inductive safety, replayed)
     for rec in journal.levels:
         for k in rec.window1 + rec.window2:
-            assert rec.chosen not in dangerous_children(
-                rec.rect, seq.vectors[k - 1], cfg
+            assert rec.chosen not in expand_rows(
+                dangerous_children(rec.rect, seq.vectors[k - 1], cfg)
             )
 
     # eta is the exact center of the final rectangle and clears epsilon
@@ -377,6 +478,17 @@ def test_resume_replays_identically():
     bad = journal.levels[1:2]
     with pytest.raises(ConfigError):
         run_sieve(theta, cfg, seq, resume_levels=bad)
+
+
+def test_resume_rejects_levels_beyond_depth():
+    theta = SQRT_PAIR
+    cfg = SieveConfig(R=8, depth=3)
+    seq = enumerate_best_approx(theta, cfg.height_sq_bound())
+    _, journal = run_sieve(theta, cfg, seq)
+    with pytest.raises(ConfigError, match="more than depth 2"):
+        run_sieve(
+            theta, SieveConfig(R=8, depth=2), seq, resume_levels=journal.levels
+        )
 
 
 def test_seeded_policy_determinism():
