@@ -188,6 +188,8 @@ def enumerate_best_approx(theta: ThetaForm, height_sq_max: int) -> BestApproxSeq
         heapq.heapify(heap)
 
         while heap:
+            # the whole height-h group leaves the heap before any push, and
+            # every event pushed below lies above h
             h = heap[0][0]
             group = []
             while heap and heap[0][0] == h:
@@ -195,7 +197,6 @@ def enumerate_best_approx(theta: ThetaForm, height_sq_max: int) -> BestApproxSeq
             s = D if zbest is None else zbest - 1
             # candidate records at height h: (dist_scaled, m1, m2, class_count)
             cands = []
-            requeue = []  # (m2, x) next step event heights already discovered
             for _h, m2, kind in group:
                 if kind == _BLOCK:
                     T = m2 * m2
@@ -221,7 +222,7 @@ def enumerate_best_approx(theta: ThetaForm, height_sq_max: int) -> BestApproxSeq
                             if x is not None and (beyond is None or x < beyond):
                                 beyond = x
                     if beyond is not None:
-                        requeue.append((m2, beyond))
+                        heapq.heappush(heap, (beyond, m2, _STEP))
                 else:
                     for m1 in ((h, -h) if m2 > 0 else (h,)):
                         d = sf.dist_scaled(m1, m2)
@@ -233,7 +234,7 @@ def enumerate_best_approx(theta: ThetaForm, height_sq_max: int) -> BestApproxSeq
                         if x is not None and (nxt is None or x < nxt):
                             nxt = x
                     if nxt is not None:
-                        requeue.append((m2, nxt))
+                        heapq.heappush(heap, (nxt, m2, _STEP))
             if cands:
                 dmin = min(c[0] for c in cands)
                 winners = [c for c in cands if c[0] == dmin]
@@ -265,39 +266,11 @@ def enumerate_best_approx(theta: ThetaForm, height_sq_max: int) -> BestApproxSeq
                     )
                 )
                 zbest = dmin
-            for m2, x in requeue:
-                heapq.heappush(heap, (x, m2, _STEP))
 
     seq = BestApproxSequence(theta=theta, height_sq_max=H, vectors=tuple(vectors))
     if vectors:
         validate_precision(theta, H, vectors[-1].zeta)
     return seq
-
-
-def is_best_approximation(theta: ThetaForm, m: tuple[int, int]) -> bool:
-    """Closed-parallelepiped emptiness for one class: no other nonzero class
-    may have height_sq <= ours and zeta <= ours."""
-    m1, m2 = m
-    zeta, _ = form_value(theta, m1, m2)
-    if zeta == 0:
-        raise DegenerateForm(f"zero form value at {m}")
-    h = weighted_height_sq(m1, m2)
-    own = canonical_class(m1, m2)
-    sf = _ScaledForm(theta)
-    s = zeta.numerator * sf.D // zeta.denominator  # dist <= zeta, closed
-    for mp2 in range(isqrt(h) + 1):
-        for a, c, sign, x_start in sf.branches(mp2):
-            x = _branch_first(sf, a, c, x_start, s, h)
-            hops = 0
-            while x is not None:
-                if canonical_class(sign * x, mp2) != own:
-                    return False
-                # the hit is our own class; look past it on this walk
-                x = _branch_first(sf, a, c, x + 1, s, h)
-                hops += 1
-                if hops > 2:  # own class occupies one x per walk
-                    raise RuntimeError("branch walk failed to advance")
-    return True
 
 
 def audit_minkowski(seq: BestApproxSequence) -> list[tuple[int, int]]:

@@ -9,7 +9,6 @@ no timestamps, so identical configs produce identical bytes.
 import argparse
 import dataclasses
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from .bestapprox import (
@@ -29,7 +28,13 @@ from .errors import (
     NoSurvivor,
     PrecisionExhausted,
 )
-from .journal import certificate_json, journal_text, parse_certificate, parse_journal
+from .journal import (
+    certificate_json,
+    check_resume_prefix,
+    journal_text,
+    parse_certificate,
+    parse_journal,
+)
 from .rationals import ThetaForm, parse_rational, theta_fingerprint
 from .sieve import SieveConfig, dangerous_children, run_sieve
 from .verify import (
@@ -102,7 +107,7 @@ def build_parser() -> _Parser:
     p.add_argument("--policy", choices=("lex", "random"))
     p.add_argument("--seed", type=int)
     p.add_argument("--out", default=".", help="directory for journal + certificate")
-    p.add_argument("--resume", help="existing journal to replay and continue")
+    p.add_argument("--resume", help="earlier journal this run's journal must extend")
     p.set_defaults(func=cmd_construct)
 
     p = sub.add_parser("verify", help="recheck a certificate from scratch")
@@ -153,6 +158,7 @@ def cmd_best_approx(args) -> int:
 
 
 def _print_level_table(levels, cfg):
+    union_bound = cfg.capacity_bounds()["union"]
     head = (
         f"{'level':>5}  {'win1':>4} {'win2':>4}  {'t1_kills':>8} {'t2_kills':>8}"
         f"  {'union':>6} {'survivors':>13}  {'kill_rate':>9}  {'union_bound':>13}"
@@ -164,33 +170,25 @@ def _print_level_table(levels, cfg):
             f"{rec.level:>5}  {len(rec.window1):>4} {len(rec.window2):>4}"
             f"  {s.type1_total:>8} {s.type2_total:>8}"
             f"  {s.union_kills:>6} {s.survivors:>13}"
-            f"  {s.union_kills / cfg.R**3:>9.3e}  {s.union_bound:>13}"
+            f"  {s.union_kills / cfg.R**3:>9.3e}  {union_bound:>13}"
         )
 
 
 def cmd_construct(args) -> int:
-    resume_levels = ()
+    old = None
     if args.resume:
-        text = Path(args.resume).read_text()
-        theta, j_cfg, j_tfp, j_sfp, _base, resume_levels, _final = parse_journal(text)
+        old = Path(args.resume).read_text()
+        theta, cfg, *_ = parse_journal(old)
         if args.catalog or args.theta:
             if _resolve_theta(args) != theta:
                 raise ConfigError("--resume journal was built for a different theta")
-        if theta_fingerprint(theta) != j_tfp:
-            raise ConfigError("--resume journal theta fingerprint mismatch")
-        for flag, journal_value in (
-            ("R", j_cfg.R),
-            ("depth", j_cfg.depth),
-            ("policy", j_cfg.policy),
-            ("seed", j_cfg.seed),
-        ):
-            given = getattr(args, flag)
+        for flag in ("R", "depth", "policy", "seed"):
+            given, journal_value = getattr(args, flag), getattr(cfg, flag)
             if given is not None and given != journal_value:
                 raise ConfigError(
                     f"--{flag} {given} conflicts with the resume journal's "
                     f"{flag}={journal_value}"
                 )
-        cfg = j_cfg
     else:
         theta = _resolve_theta(args)
         if args.R is None or args.depth is None:
@@ -212,16 +210,13 @@ def cmd_construct(args) -> int:
 
     bound = max(1, cfg.height_sq_bound())
     seq = enumerate_best_approx(theta, bound)
-    seq_fp = sequence_fingerprint(seq)
-    if args.resume and seq_fp != j_sfp:
-        raise ConfigError(
-            "--resume journal sequence fingerprint mismatch: enumeration does "
-            "not reproduce the journal's vector list"
-        )
     print(f"theta {theta_fingerprint(theta)}")
-    print(f"sequence {seq_fp}  vectors {len(seq.vectors)}")
+    print(f"sequence {sequence_fingerprint(seq)}  vectors {len(seq.vectors)}")
 
-    cert, journal = run_sieve(theta, cfg, seq, resume_levels=resume_levels)
+    cert, journal = run_sieve(theta, cfg, seq)
+    text = journal_text(journal)
+    if old is not None:
+        check_resume_prefix(old, text)
     _print_level_table(journal.levels, cfg)
     print(f"eta ({cert.eta[0]}, {cert.eta[1]})")
     print(f"verified_form_min {cert.verified_form_min} > epsilon {cert.epsilon}")
@@ -230,7 +225,7 @@ def cmd_construct(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     jpath = out / "journal.jsonl"
     cpath = out / "certificate.json"
-    jpath.write_text(journal_text(journal))
+    jpath.write_text(text)
     cpath.write_text(certificate_json(cert))
     print(f"wrote {jpath}")
     print(f"wrote {cpath}")

@@ -4,7 +4,8 @@ A journal is JSONL: one header line (config, theta, fingerprints, base
 corner), one line per completed level, one final line. Every rational is a
 "p/q" string, keys are emitted in a fixed order, and nothing time- or
 host-dependent is ever written, so identical runs produce byte-identical
-files. A journal whose final line is missing is a resumable interrupted run.
+files. A run resumes from a journal whose lines are the first lines of the
+journal it writes itself (check_resume_prefix).
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ def _header_record(j: RunJournal) -> dict:
     }
 
 
-def _level_record(rec: LevelRecord) -> dict:
+def _level_record(rec: LevelRecord, cfg: SieveConfig) -> dict:
     s = rec.stats
     return {
         "type": "level",
@@ -68,13 +69,7 @@ def _level_record(rec: LevelRecord) -> dict:
         "type2_total": s.type2_total,
         "union_kills": s.union_kills,
         "survivors": s.survivors,
-        "bounds": {
-            "h1": s.h1_bound,
-            "h2": s.h2_bound,
-            "type1_total": s.type1_total_bound,
-            "type2_total": s.type2_total_bound,
-            "union": s.union_bound,
-        },
+        "bounds": cfg.capacity_bounds(),
         "chosen": list(rec.chosen),
     }
 
@@ -89,7 +84,7 @@ def _final_record(j: RunJournal) -> dict:
 
 def journal_text(j: RunJournal) -> str:
     lines = [_dump(_header_record(j))]
-    lines.extend(_dump(_level_record(rec)) for rec in j.levels)
+    lines.extend(_dump(_level_record(rec, j.config)) for rec in j.levels)
     lines.append(_dump(_final_record(j)))
     return "".join(line + "\n" for line in lines)
 
@@ -145,13 +140,10 @@ def _parse_level(rec: dict, cfg: SieveConfig) -> LevelRecord:
         or stats.type2_total != rec.get("type2_total")
     ):
         raise ConfigError("journal level record inconsistent with its marks")
-    if stats.survivors != rec.get("survivors") or {
-        "h1": stats.h1_bound,
-        "h2": stats.h2_bound,
-        "type1_total": stats.type1_total_bound,
-        "type2_total": stats.type2_total_bound,
-        "union": stats.union_bound,
-    } != rec.get("bounds"):
+    if (
+        stats.survivors != rec.get("survivors")
+        or rec.get("bounds") != cfg.capacity_bounds()
+    ):
         raise ConfigError("journal level record inconsistent with its config")
     return LevelRecord(
         level=level,
@@ -210,6 +202,33 @@ def parse_journal(text: str):
     tfp = _get(h, "theta_fingerprint", str)
     sfp = _get(h, "sequence_fingerprint", str)
     return theta, cfg, tfp, sfp, base, tuple(levels), final
+
+
+def check_resume_prefix(old: str, new: str) -> None:
+    """A resumed run must write a journal whose first lines are, byte for
+    byte, the non-blank lines of the journal it resumed from (old, which has
+    passed parse_journal); else ConfigError naming the first line of old
+    that differs and the top-level keys whose values differ there."""
+    old_lines = [
+        (ln, line)
+        for ln, line in enumerate(old.splitlines(), start=1)
+        if line.strip()
+    ]
+    new_lines = new.splitlines()
+    longer = len(old_lines) > len(new_lines)
+    count = (
+        f"the resume journal holds {len(old_lines)} records, more than the "
+        f"{len(new_lines)} lines this run writes"
+    )
+    for (ln, line), ours in zip(old_lines, new_lines):
+        if line != ours:
+            a, b = json.loads(line), json.loads(ours)
+            keys = [k for k in {**b, **a} if a.get(k) != b.get(k)]
+            what = "in " + ", ".join(keys) if keys else "in formatting only"
+            msg = f"resume journal line {ln} differs from this run's journal {what}"
+            raise ConfigError(f"{msg}; {count}" if longer else msg)
+    if longer:
+        raise ConfigError(count)
 
 
 def certificate_json(cert: Certificate) -> str:

@@ -17,9 +17,6 @@ closed i-ranges per row, the union is merged per row, and the survivor is
 picked by a sweep over the range endpoints. Time and memory are
 O(window x strips x R) per level; the full R^3 scan exists only as an
 oracle in the verify module.
-
-A resumed run recomputes every journaled level and rejects a record that
-differs from the recomputed one in any field.
 """
 
 from __future__ import annotations
@@ -86,6 +83,20 @@ class SieveConfig:
 
     def height_sq_bound(self) -> int:
         return self.R ** (2 * self.depth)
+
+    def capacity_bounds(self) -> dict[str, int]:
+        """A-priori kill capacities per level, which depend only on R: per
+        vector (h1 for Type1, h2 for Type2), per type total, and for the
+        union. Journaled as each level record's "bounds"."""
+        R2 = self.R**2
+        lg = self.log2R_ceil
+        return {
+            "h1": 5 * R2,
+            "h2": 6 * R2,
+            "type1_total": 600 * R2 * lg,
+            "type2_total": 400 * R2 * lg,
+            "union": 1000 * R2 * lg,
+        }
 
 
 @dataclass(frozen=True)
@@ -270,16 +281,9 @@ class DangerStats:
     type2_total: int
     union_kills: int
     survivors: int
-    h1_bound: int
-    h2_bound: int
-    type1_total_bound: int
-    type2_total_bound: int
-    union_bound: int
 
     @classmethod
     def collect(cls, cfg: SieveConfig, level: int, marks, union_size: int):
-        R2 = cfg.R**2
-        lg = cfg.log2R_ceil
         return cls(
             level=level,
             per_vector=tuple(marks),
@@ -287,11 +291,6 @@ class DangerStats:
             type2_total=sum(m.kills for m in marks if m.kind != TYPE1),
             union_kills=union_size,
             survivors=cfg.R**3 - union_size,
-            h1_bound=5 * R2,
-            h2_bound=6 * R2,
-            type1_total_bound=600 * R2 * lg,
-            type2_total_bound=400 * R2 * lg,
-            union_bound=1000 * R2 * lg,
         )
 
 
@@ -416,36 +415,13 @@ class RunJournal:
     final: Rectangle
 
 
-def _check_replayed(old: LevelRecord, new: LevelRecord) -> None:
-    """A journaled level must equal the level this run recomputes."""
-    if old.level != new.level or old.rect != new.rect:
-        raise ConfigError("resume records do not replay onto this run")
-    diffs = [
-        what
-        for what, a, b in (
-            ("vector windows", (old.window1, old.window2), (new.window1, new.window2)),
-            ("marks, totals or survivors", old.stats, new.stats),
-            ("chosen child", old.chosen, new.chosen),
-        )
-        if a != b
-    ]
-    if diffs:
-        raise ConfigError(
-            f"resume record for level {old.level} differs from the recomputed "
-            f"level in its {', '.join(diffs)}"
-        )
-
-
 def run_sieve(
     theta: ThetaForm,
     cfg: SieveConfig,
     seq: BestApproxSequence,
-    resume_levels: tuple[LevelRecord, ...] = (),
 ) -> tuple[Certificate, RunJournal]:
     """Full descent to cfg.depth. seq must be complete to R^(2 depth) (and at
-    least to 1). resume_levels are already-journaled levels: each is
-    recomputed on its rectangle and must match the recomputed record
-    exactly, else ConfigError; the loop then continues past them."""
+    least to 1)."""
     if seq.theta != theta:
         raise ConfigError("sequence was built for a different theta")
     need = max(1, cfg.height_sq_bound())
@@ -457,18 +433,11 @@ def run_sieve(
     if seq.vectors:
         validate_precision(theta, seq.height_sq_max, seq.vectors[-1].zeta)
 
-    if len(resume_levels) > cfg.depth:
-        raise ConfigError(
-            f"resume journal holds {len(resume_levels)} levels, more than "
-            f"depth {cfg.depth}"
-        )
     rect = select_base(theta, cfg, seq)
     base = rect
     levels: list[LevelRecord] = []
     while rect.level < cfg.depth:
         rect, rec = sieve_step(cfg, rect, seq)
-        if rec.level < len(resume_levels):
-            _check_replayed(resume_levels[rec.level], rec)
         levels.append(rec)
 
     eta = rect.center(cfg)

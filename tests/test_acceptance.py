@@ -146,16 +146,16 @@ def test_criterion_4_sieve_validity(full_runs):
     ok = True
     details = []
     for name, (_theta, _seq, _cert, journal, elapsed) in full_runs.items():
+        b = journal.config.capacity_bounds()
         unions = []
         for rec in journal.levels:
             s = rec.stats
             if s.survivors < 1:
                 ok = False
             for m in s.per_vector:
-                bound = s.h1_bound if m.kind == 1 else s.h2_bound
-                if m.kills > bound:
+                if m.kills > (b["h1"] if m.kind == 1 else b["h2"]):
                     ok = False
-            if not (s.type1_total + s.type2_total < s.union_bound):
+            if not (s.type1_total + s.type2_total < b["union"]):
                 ok = False
             unions.append(s.union_kills)
         if elapsed >= 600:
@@ -210,10 +210,11 @@ def test_paper_scale_sieve():
     assert peak < 64 * 2**20
     (rec,) = journal.levels
     s = rec.stats
+    b = cfg.capacity_bounds()
     assert s.survivors == cfg.R**3 - s.union_kills
     for m in s.per_vector:
-        assert m.kills <= (s.h1_bound if m.kind == 1 else s.h2_bound)
-    assert s.type1_total + s.type2_total < s.union_bound
+        assert m.kills <= (b["h1"] if m.kind == 1 else b["h2"])
+    assert s.type1_total + s.type2_total < b["union"]
     assert cert.verified_form_min > cfg.epsilon
 
 

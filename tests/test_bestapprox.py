@@ -13,14 +13,13 @@ from badsieve.bestapprox import (
     canonical_class,
     enumerate_best_approx,
     export_sequence_lines,
-    is_best_approximation,
     parse_sequence_lines,
     type_window,
     vector_kind,
 )
 from badsieve.catalog import get_entry
 from badsieve.errors import ConfigError, DegenerateForm, IncompleteSequence
-from badsieve.rationals import ThetaForm, weighted_height_sq
+from badsieve.rationals import ThetaForm
 from badsieve.verify import brute_best_approx
 
 SQRT_PAIR = get_entry("sqrt2-sqrt3").theta
@@ -149,27 +148,6 @@ def test_branch_first_merged_walk_matches_brute(theta):
                         )
                         got = _branch_first(sf, a, c, x_lo, s, x_hi)
                         assert got == want, (theta, m2, sign, s, x_lo, x_hi)
-
-
-def test_is_best_matches_sequence_membership():
-    seq = enumerate_best_approx(SQRT_PAIR, 100)
-    members = {(v.m1, v.m2) for v in seq.vectors}
-    checked = 0
-    for m2 in range(0, 7):
-        for m1 in range(-40, 41):
-            if m2 == 0 and m1 <= 0:
-                continue
-            if weighted_height_sq(m1, m2) > 40:
-                continue
-            expect = (m1, m2) in members
-            assert is_best_approximation(SQRT_PAIR, (m1, m2)) is expect
-            checked += 1
-    assert checked > 100
-
-
-def test_is_best_zero_form_value_degenerates():
-    with pytest.raises(DegenerateForm):
-        is_best_approximation(RATIONAL_PAIR, (5, 0))
 
 
 def test_audits_clean_on_real_sequences():

@@ -2,7 +2,6 @@ import json
 import re
 import subprocess
 import sys
-from fractions import Fraction
 
 import pytest
 
@@ -208,19 +207,25 @@ def test_malformed_input_exits_5(small_run, tmp_path, capsys, case):
     assert "config error" in capsys.readouterr().err
 
 
+def _resume_text(tmp_path, text):
+    """Resume from a journal with the given text; returns (exit code,
+    output dir)."""
+    path = tmp_path / "resume.jsonl"
+    path.write_text(text)
+    out = tmp_path / "resumed"
+    return run_cli("construct", "--resume", str(path), "--out", str(out)), out
+
+
 def _resume_from(small_run, tmp_path, edit, levels=1):
     """Resume from the header + the first levels of the small run after
-    edit(records) has tampered with the parsed records; returns (exit code,
-    output dir)."""
+    edit(records) has tampered with the parsed records."""
     lines = (small_run / "journal.jsonl").read_text().splitlines()[: 1 + levels]
     records = [json.loads(line) for line in lines]
     edit(records)
-    trunc = tmp_path / "tampered.jsonl"
-    trunc.write_text(
-        "".join(json.dumps(r, separators=(",", ":")) + "\n" for r in records)
+    return _resume_text(
+        tmp_path,
+        "".join(json.dumps(r, separators=(",", ":")) + "\n" for r in records),
     )
-    out = tmp_path / "resumed"
-    return run_cli("construct", "--resume", str(trunc), "--out", str(out)), out
 
 
 @pytest.mark.parametrize(
@@ -238,7 +243,9 @@ def test_resume_tampered_fingerprint_exits_5(small_run, tmp_path, capsys, keys):
 
     code, out = _resume_from(small_run, tmp_path, zero)
     assert code == 5
-    assert "fingerprint mismatch" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "resume journal line 1 differs" in err
+    assert all(key in err for key in keys)
     assert not (out / "journal.jsonl").exists()
 
 
@@ -247,7 +254,8 @@ def test_resume_tampered_window_exits_5(small_run, tmp_path, capsys):
         small_run, tmp_path, lambda records: records[1]["window1"].append(99)
     )
     assert code == 5
-    assert "windows" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "line 2 differs from this run's journal in window1" in err
     assert not (out / "journal.jsonl").exists()
 
 
@@ -285,8 +293,63 @@ def test_resume_killed_chosen_exits_5(small_run, tmp_path, capsys):
 
     code, out = _resume_from(small_run, tmp_path, pick_killed, levels=2)
     assert code == 5
-    assert "chosen child" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "line 3 differs from this run's journal in chosen" in err
     assert not (out / "journal.jsonl").exists()
+
+
+def _extra_level(journal):
+    # a level 3 record after the final line: parse_journal accepts it, since
+    # the levels stay consecutive, and only the prefix compare rejects it
+    level = journal.splitlines()[-2].replace('"level":2,', '"level":3,', 1)
+    assert '"level":3,' in level
+    return journal + level + "\n"
+
+
+def _reformatted_level(journal):
+    lines = journal.splitlines()
+    lines[1] = json.dumps(json.loads(lines[1]))  # ", " and ": " separators
+    return "\n".join(lines[:3]) + "\n"
+
+
+# Edits of the small run's complete journal that parse_journal accepts, and
+# what the rejection message must name. A lowered depth reaches the run
+# itself, which takes its config from the header: the header then differs
+# only in the sequence fingerprint, whose completeness bound is R^(2 depth).
+EDITED = {
+    "extra-level": (_extra_level, ["holds 6 records, more than the 5 lines"]),
+    "lowered-depth": (
+        lambda j: j.replace('"depth":3,', '"depth":2,', 1),
+        [
+            "line 1 differs from this run's journal in sequence_fingerprint",
+            "holds 5 records, more than the 4 lines",
+        ],
+    ),
+    "reformatted-level": (
+        _reformatted_level,
+        ["line 2 differs from this run's journal in formatting only"],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EDITED))
+def test_resume_edited_journal_exits_5(small_run, tmp_path, capsys, case):
+    edit, messages = EDITED[case]
+    journal = (small_run / "journal.jsonl").read_text()
+    assert '"depth":3,' in journal
+    code, out = _resume_text(tmp_path, edit(journal))
+    assert code == 5
+    err = capsys.readouterr().err
+    assert all(m in err for m in messages), err
+    assert not (out / "journal.jsonl").exists()
+
+
+def test_resume_ignores_blank_lines(small_run, tmp_path):
+    journal = (small_run / "journal.jsonl").read_text()
+    code, out = _resume_text(tmp_path, journal + "\n")
+    assert code == 0
+    for name in ("journal.jsonl", "certificate.json"):
+        assert (out / name).read_bytes() == (small_run / name).read_bytes()
 
 
 def test_crosscheck_small(capsys):

@@ -353,11 +353,13 @@ def test_danger_stats_arithmetic():
     assert stats.type2_total == 7
     assert stats.union_kills == 11
     assert stats.survivors == 64 - 11
-    assert stats.h1_bound == 5 * 16
-    assert stats.h2_bound == 6 * 16
-    assert stats.type1_total_bound == 600 * 16 * 2
-    assert stats.type2_total_bound == 400 * 16 * 2
-    assert stats.union_bound == 1000 * 16 * 2
+    assert cfg.capacity_bounds() == {
+        "h1": 5 * 16,
+        "h2": 6 * 16,
+        "type1_total": 600 * 16 * 2,
+        "type2_total": 400 * 16 * 2,
+        "union": 1000 * 16 * 2,
+    }
 
 
 def test_union_subadditive_on_real_run():
@@ -464,33 +466,6 @@ def test_run_sieve_rejects_wrong_theta():
         run_sieve(other, cfg, seq)
 
 
-def test_resume_replays_identically():
-    theta = SQRT_PAIR
-    cfg = SieveConfig(R=8, depth=3)
-    seq = enumerate_best_approx(theta, cfg.height_sq_bound())
-    cert, journal = run_sieve(theta, cfg, seq)
-    cert2, journal2 = run_sieve(
-        theta, cfg, seq, resume_levels=journal.levels[:2]
-    )
-    assert cert2 == cert
-    assert journal2 == journal
-    # a record that does not replay onto this run is rejected
-    bad = journal.levels[1:2]
-    with pytest.raises(ConfigError):
-        run_sieve(theta, cfg, seq, resume_levels=bad)
-
-
-def test_resume_rejects_levels_beyond_depth():
-    theta = SQRT_PAIR
-    cfg = SieveConfig(R=8, depth=3)
-    seq = enumerate_best_approx(theta, cfg.height_sq_bound())
-    _, journal = run_sieve(theta, cfg, seq)
-    with pytest.raises(ConfigError, match="more than depth 2"):
-        run_sieve(
-            theta, SieveConfig(R=8, depth=2), seq, resume_levels=journal.levels
-        )
-
-
 def test_seeded_policy_determinism():
     theta = SQRT_PAIR
     cfg = SieveConfig(R=8, depth=2, policy="random", seed=7)
@@ -538,17 +513,6 @@ def test_journal_tamper_detected():
     tampered = re.sub(r'"survivors":(\d+)', '"survivors":1', lines[1])
     with pytest.raises(ConfigError):
         parse_journal("\n".join([lines[0], tampered] + lines[2:]))
-
-
-def test_journal_resume_from_parsed_levels():
-    theta = SQRT_PAIR
-    cfg = SieveConfig(R=8, depth=3)
-    seq = enumerate_best_approx(theta, cfg.height_sq_bound())
-    cert, journal = run_sieve(theta, cfg, seq)
-    *_, levels, _final = parse_journal(journal_text(journal))
-    cert2, journal2 = run_sieve(theta, cfg, seq, resume_levels=levels[:1])
-    assert certificate_json(cert2) == certificate_json(cert)
-    assert journal_text(journal2) == journal_text(journal)
 
 
 def test_certificate_roundtrip():
