@@ -7,28 +7,33 @@ has both height <= its height and zeta <= its zeta, where
 zeta = ||theta1*m1 + theta2*m2||. The full sequence is the Pareto staircase of
 (height_sq, zeta): heights strictly increase, zetas strictly decrease.
 
-Enumeration never scans the plane. For each m2 the one-dimensional problem
-"first |m1| in [x, H] with zeta below the current record" is answered by the
-modmin kernel in O(log) exact integer steps, one walk per sign of m1, and a
-height-ordered event queue merges the per-m2 streams. The two sides of the
-distance to the nearest integer share one walk: with r the residue of the
-form, min(r, D - r) <= s exactly when (r + s) mod D <= 2s. Every walk is
-capped by its height bound, so the kernel stops as soon as no witness at or
-below that bound can exist. Because the running record zeta only decreases,
-a stream's next viable height only moves up, so requeueing a stale event is
-sound and no candidate is ever skipped.
+Enumeration never scans the plane. Over a common denominator D the form
+is z = A1*m1 + A2*m2 + D*m0 and zeta = min |z| / D, so the classes of
+height <= h and zeta <= s/D are the points of the 3-D lattice
+{(m1, m2, z)} in the box |m1| <= h, |m2| <= isqrt(h), |z| <= s. One exact
+box query lists them: scale the columns so the box fits a cube, reduce the
+basis with integral LLL (warm-started from the previous query's basis),
+list the cube's circumscribed ball by Fincke-Pohst enumeration in integers
+and Fractions, and filter the box exactly.
+
+After a record (h0, z0) every class in the box with s = z0 - 1 lies above
+h0, so the next record is the least-height class in the first non-empty
+box of a gallop h = 2*h0, 3*h0, 5*h0, ... (capped at the bound), the
+least zeta at that height. No float enters, and nothing is done per m2
+or per height: the work grows with the number of records and gallop
+steps and with the bit size of the numbers.
 """
 
 from __future__ import annotations
 
-import heapq
 import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt, lcm
 
 from .errors import ConfigError, DegenerateForm, IncompleteSequence
-from .modmin import congruence_solutions_in_range, first_reaching
+# unused here; the benchmark's tracer (perfbench/spans.py) wraps this name
+from .modmin import first_reaching  # noqa: F401
 from .rationals import (
     ThetaForm,
     form_value,
@@ -95,77 +100,114 @@ class BestApproxSequence:
             prev = v
 
 
-class _ScaledForm:
-    """theta over a common denominator: dist(m1, m2) = min(r, D - r) / D
-    with r = (A1*m1 + A2*m2) mod D. All record comparisons happen on the
-    scaled integer min(r, D - r), no Fraction churn in the hot path."""
+def _lll(b: list[list[int]]) -> tuple[list[int], list[list[int]]]:
+    """Reduce the independent integer rows b in place: integral LLL (Cohen,
+    A Course in Computational Algebraic Number Theory, Alg. 2.6.7) with
+    delta = 99/100. Returns (d, lam), all integers: d[i] is the Gram
+    determinant of the first i rows (d[0] = 1) and lam[k][j] = d[j+1] *
+    mu[k][j] are the scaled Gram-Schmidt coefficients of the result."""
+    n = len(b)
+    d = [1, sum(x * x for x in b[0])] + [0] * (n - 1)
+    lam = [[0] * n for _ in range(n)]
 
-    def __init__(self, theta: ThetaForm):
-        t1, t2 = theta.theta1, theta.theta2
-        self.D = lcm(t1.denominator, t2.denominator)
-        self.A1 = t1.numerator * (self.D // t1.denominator) % self.D
-        self.A2 = t2.numerator * (self.D // t2.denominator) % self.D
+    def size_reduce(k: int, l: int) -> None:
+        if 2 * abs(lam[k][l]) > d[l + 1]:
+            q = (2 * lam[k][l] + d[l + 1]) // (2 * d[l + 1])
+            b[k] = [x - q * y for x, y in zip(b[k], b[l])]
+            lam[k][l] -= q * d[l + 1]
+            for i in range(l):
+                lam[k][i] -= q * lam[l][i]
 
-    def dist_scaled(self, m1: int, m2: int) -> int:
-        r = (self.A1 * m1 + self.A2 * m2) % self.D
-        return min(r, self.D - r)
-
-    def branches(self, m2: int):
-        """(a, c, sign, x_start): residue walks r(x) = (a*x + c) mod D with
-        dist_scaled(sign*x, m2) = min(r, D - r) for x >= x_start. One walk
-        per sign, covering both sides of the distance (see _branch_first);
-        the negative sign is omitted for m2 == 0 since (-x, 0) ~ (x, 0)."""
-        c = self.A2 * m2 % self.D
-        if m2 == 0:
-            return [(self.A1, c, 1, 1)]
-        return [(self.A1, c, 1, 0), ((self.D - self.A1) % self.D, c, -1, 1)]
-
-
-def _branch_first(sf: _ScaledForm, a: int, c: int, x_lo: int, s: int, x_hi: int):
-    """Minimal x in [x_lo, x_hi] with min(r, D - r) <= s for
-    r = (a*x + c) % D, or None.
-
-    min(r, D - r) <= s  <=>  (r + s) % D <= 2s, exactly: for 2s < D the
-    r <= s side lands in [s, 2s] and the r >= D - s side in [0, s - 1];
-    for 2s >= D - 1 both sides always hold and the kernel returns 0."""
-    c0 = (a * x_lo + c + s) % sf.D
-    u = first_reaching(a, c0, sf.D, 2 * s, x_hi - x_lo)
-    return None if u is None else x_lo + u
-
-
-def _block_exists(sf: _ScaledForm, m2: int, s: int, T: int) -> bool:
-    for a, c, _sign, x_start in sf.branches(m2):
-        if _branch_first(sf, a, c, x_start, s, T) is not None:
-            return True
-    return False
-
-
-def _block_min(sf: _ScaledForm, m2: int, ub: int):
-    """(value, argmin_m1, class_count) for the exact minimum of dist over the
-    block |m1| <= m2^2 at height m2^2, given a known attained upper bound ub."""
-    T = m2 * m2
-    lo, hi = 0, ub
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if _block_exists(sf, m2, mid, T):
-            hi = mid
+    k, kmax = 1, 0
+    while k < n:
+        if k > kmax:
+            kmax = k
+            for j in range(k + 1):
+                u = sum(x * y for x, y in zip(b[k], b[j]))
+                for i in range(j):
+                    u = (d[i + 1] * u - lam[k][i] * lam[j][i]) // d[i]
+                if j < k:
+                    lam[k][j] = u
+                else:
+                    d[k + 1] = u
+        size_reduce(k, k - 1)
+        t = lam[k][k - 1]
+        if 100 * d[k + 1] * d[k - 1] < 99 * d[k] ** 2 - 100 * t * t:
+            b[k], b[k - 1] = b[k - 1], b[k]
+            for j in range(k - 1):
+                lam[k][j], lam[k - 1][j] = lam[k - 1][j], lam[k][j]
+            B = (d[k - 1] * d[k + 1] + t * t) // d[k]
+            for i in range(k + 1, kmax + 1):
+                v = lam[i][k]
+                lam[i][k] = (d[k + 1] * lam[i][k - 1] - t * v) // d[k]
+                lam[i][k - 1] = (B * v + t * lam[i][k]) // d[k + 1]
+            d[k] = B
+            k = max(1, k - 1)
         else:
-            lo = mid + 1
-    v = lo
-    base_c = sf.A2 * m2 % sf.D
-    cnt, best = congruence_solutions_in_range(sf.A1, base_c, v, sf.D, T)
-    other = (sf.D - v) % sf.D
-    if other != v:
-        cnt2, best2 = congruence_solutions_in_range(sf.A1, base_c, other, sf.D, T)
-        cnt += cnt2
-        if best2 is not None and (
-            best is None or (abs(best2), best2 < 0) < (abs(best), best < 0)
-        ):
-            best = best2
-    return v, best, cnt
+            for l in range(k - 2, -1, -1):
+                size_reduce(k, l)
+            k += 1
+    return d, lam
 
 
-_BLOCK, _STEP = 0, 1
+def _ball(b: list[list[int]], d: list[int], lam: list[list[int]], r2: int):
+    """One of x and -x for every nonzero x = sum u[k] * b[k] with
+    |x|^2 <= r2, by Fincke-Pohst enumeration over the Gram-Schmidt data
+    (d, lam) of _lll, in integers.
+
+    With y_i = d[i+1]*u[i] + sum_{k>i} lam[k][i]*u[k], the norm is
+    |x|^2 = sum_i y_i^2 / (d[i]*d[i+1]). Each level keeps what is left of r2
+    as an exact fraction budget/scale, so |y_i| <= isqrt of the floor of
+    (budget/scale)*d[i]*d[i+1] bounds u[i] exactly. The last nonzero u[k]
+    is taken positive."""
+    n = len(b)
+    u = [0] * n
+    out = []
+
+    def walk(i: int, budget: int, scale: int, zero_above: bool) -> None:
+        if i < 0:
+            if not zero_above:
+                out.append([sum(uk * row[j] for uk, row in zip(u, b)) for j in range(n)])
+            return
+        c = sum(lam[k][i] * u[k] for k in range(i + 1, n))
+        den = d[i] * d[i + 1]
+        w = isqrt(budget * den // scale)
+        lo = 0 if zero_above else -((w + c) // d[i + 1])
+        for ui in range(lo, (w - c) // d[i + 1] + 1):
+            y = d[i + 1] * ui + c
+            u[i] = ui
+            walk(i - 1, budget * den - y * y * scale, scale * den, zero_above and not ui)
+
+    walk(n - 1, r2, 1, True)
+    return out
+
+
+def _box(basis: list[list[int]], h: int, s: int) -> set[tuple[int, int, int]]:
+    """The canonical classes (|z|, m1, m2) with |m1| <= h, |m2| <= isqrt(h),
+    (m1, m2) != 0 and |z| <= s for some lattice point (m1, m2, z) spanned by
+    the rows of basis. A set: a class with lattice points at z = D/2 and
+    z = -D/2 (when s = D // 2 and D is even) is one class, not a tie.
+
+    The columns are scaled by (g*s', h*s', h*g), g = isqrt(h), s' = max(s, 1),
+    so the box lies in the cube of half-side N = h*g*s' and so in the ball
+    of radius sqrt(3)*N, whose points are listed (one of each pair +-x) and
+    filtered exactly. basis is replaced by the reduced basis, the warm start
+    of the next query."""
+    g = isqrt(h)
+    sp = max(s, 1)
+    scale = (g * sp, h * sp, h * g)
+    b = [[x * c for x, c in zip(row, scale)] for row in basis]
+    d, lam = _lll(b)
+    basis[:] = [[x // c for x, c in zip(row, scale)] for row in b]
+    N = h * g * sp
+    out = set()
+    for x in _ball(b, d, lam, 3 * N * N):
+        m1, m2, z = (xi // c for xi, c in zip(x, scale))
+        if (m1 or m2) and abs(m1) <= h and abs(m2) <= g and abs(z) <= s:
+            if (m1, m2) != canonical_class(m1, m2):
+                m1, m2 = -m1, -m2
+            out.add((abs(z), m1, m2))
+    return out
 
 
 def enumerate_best_approx(theta: ThetaForm, height_sq_max: int) -> BestApproxSequence:
@@ -173,99 +215,60 @@ def enumerate_best_approx(theta: ThetaForm, height_sq_max: int) -> BestApproxSeq
 
     Raises DegenerateForm on an exact zeta = 0 inside the range or on a tied
     record decision, and PrecisionExhausted when the declared truncation error
-    cannot support the smallest record zeta encountered.
+    cannot support a record's zeta at its height (checked before that
+    record's zero and tie decision) or the last zeta at height_sq_max.
     """
     H = height_sq_max
     vectors: list[BestApproxVector] = []
     if H >= 1:
-        sf = _ScaledForm(theta)
-        D = sf.D
-        zbest: int | None = None  # scaled; records must be strictly below
-
-        heap: list[tuple[int, int, int]] = [(1, 0, _STEP)]
-        for m2 in range(1, isqrt(H) + 1):
-            heap.append((m2 * m2, m2, _BLOCK))
-        heapq.heapify(heap)
-
-        while heap:
-            # the whole height-h group leaves the heap before any push, and
-            # every event pushed below lies above h
-            h = heap[0][0]
-            group = []
-            while heap and heap[0][0] == h:
-                group.append(heapq.heappop(heap))
-            s = D if zbest is None else zbest - 1
-            # candidate records at height h: (dist_scaled, m1, m2, class_count)
-            cands = []
-            for _h, m2, kind in group:
-                if kind == _BLOCK:
-                    T = m2 * m2
-                    block_ub = None
-                    beyond = None
-                    retry = []
-                    for a, c, sign, x_start in sf.branches(m2):
-                        x = _branch_first(sf, a, c, x_start, s, H)
-                        if x is None:
-                            continue
-                        if x <= T:
-                            d = sf.dist_scaled(sign * x, m2)
-                            if block_ub is None or d < block_ub:
-                                block_ub = d
-                            retry.append((a, c))
-                        elif beyond is None or x < beyond:
-                            beyond = x
-                    if block_ub is not None:
-                        v, m1, cnt = _block_min(sf, m2, block_ub)
-                        cands.append((v, m1, m2, cnt))
-                        for a, c in retry:
-                            x = _branch_first(sf, a, c, T + 1, s, H)
-                            if x is not None and (beyond is None or x < beyond):
-                                beyond = x
-                    if beyond is not None:
-                        heapq.heappush(heap, (beyond, m2, _STEP))
-                else:
-                    for m1 in ((h, -h) if m2 > 0 else (h,)):
-                        d = sf.dist_scaled(m1, m2)
-                        if d <= s:
-                            cands.append((d, m1, m2, 1))
-                    nxt = None
-                    for a, c, _sign, _xs in sf.branches(m2):
-                        x = _branch_first(sf, a, c, h + 1, s, H)
-                        if x is not None and (nxt is None or x < nxt):
-                            nxt = x
-                    if nxt is not None:
-                        heapq.heappush(heap, (nxt, m2, _STEP))
-            if cands:
-                dmin = min(c[0] for c in cands)
-                winners = [c for c in cands if c[0] == dmin]
-                n_classes = sum(c[3] for c in winners)
-                if dmin == 0:
-                    raise DegenerateForm(
-                        f"exact zero form value at height_sq={h}: "
-                        f"classes {[(c[1], c[2]) for c in winners]}"
-                    )
-                if n_classes > 1:
-                    raise DegenerateForm(
-                        f"tied record at height_sq={h}, zeta={dmin}/{D}: "
-                        f"{[(c[1], c[2]) for c in winners]}"
-                    )
-                _, m1, m2, _ = winners[0]
-                zeta = Fraction(dmin, D)
-                zeta_check, m0 = form_value(theta, m1, m2)
-                if zeta_check != zeta:
-                    raise RuntimeError("scaled/rational distance mismatch")
-                vectors.append(
-                    BestApproxVector(
-                        index=len(vectors) + 1,
-                        m0=m0,
-                        m1=m1,
-                        m2=m2,
-                        height_sq=h,
-                        zeta=zeta,
-                        kind=vector_kind(m1, m2),
-                    )
+        t1, t2 = theta.theta1, theta.theta2
+        D = lcm(t1.denominator, t2.denominator)
+        A1 = t1.numerator * (D // t1.denominator)
+        A2 = t2.numerator * (D // t2.denominator)
+        # lattice points (m1, m2, z = A1*m1 + A2*m2 + D*m0); zeta is the
+        # least |z| / D over m0
+        basis = [[1, 0, A1], [0, 1, A2], [0, 0, D]]
+        h0, s, k = 0, D // 2, 0  # last record's height, zeta bound, gallop step
+        while True:
+            h = min(H, max(1, h0 + (h0 << k)))
+            box = _box(basis, h, s)
+            if not box:
+                if h == H:
+                    break
+                k += 1
+                continue
+            # every class in the box is above h0 (the record at h0 is the
+            # least zeta up to h0), and the smaller boxes tried before held
+            # none, so the least height in it is the next record's
+            hrec = min(weighted_height_sq(m1, m2) for _z, m1, m2 in box)
+            level = sorted(c for c in box if weighted_height_sq(c[1], c[2]) == hrec)
+            z, m1, m2 = level[0]
+            zeta = Fraction(z, D)
+            validate_precision(theta, hrec, zeta)
+            winners = [(c[1], c[2]) for c in level if c[0] == z]
+            if z == 0:
+                raise DegenerateForm(
+                    f"exact zero form value at height_sq={hrec}: classes {winners}"
                 )
-                zbest = dmin
+            if len(winners) > 1:
+                raise DegenerateForm(
+                    f"tied record at height_sq={hrec}, zeta={z}/{D}: {winners}"
+                )
+            zeta_check, m0 = form_value(theta, m1, m2)
+            if zeta_check != zeta:
+                raise RuntimeError("lattice/rational distance mismatch")
+            vectors.append(
+                BestApproxVector(
+                    index=len(vectors) + 1,
+                    m0=m0,
+                    m1=m1,
+                    m2=m2,
+                    height_sq=hrec,
+                    zeta=zeta,
+                    kind=vector_kind(m1, m2),
+                )
+            )
+            h0, s, k = hrec, z - 1, 0
 
     seq = BestApproxSequence(theta=theta, height_sq_max=H, vectors=tuple(vectors))
     if vectors:

@@ -159,21 +159,23 @@ def parse_journal(text: str):
     """-> (theta, config, theta_fp, sequence_fp, base, levels, final|None).
 
     Tolerates a missing final record (interrupted run); everything else
-    malformed, a missing key or a value of the wrong JSON type included,
-    raises ConfigError."""
+    malformed, a missing key, a value of the wrong JSON type or records out
+    of order included, raises ConfigError. In order means: the header, at
+    most depth levels, then nothing after a final record, which comes only
+    after all depth levels."""
     records = []
     for ln, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
         try:
-            records.append(json.loads(line))
+            records.append((ln, json.loads(line)))
         except json.JSONDecodeError as e:
             raise ConfigError(f"journal line {ln} is not valid JSON: {e}") from None
-        if not isinstance(records[-1], dict):
+        if not isinstance(records[-1][1], dict):
             raise ConfigError(f"journal line {ln} is not a JSON object")
-    if not records or records[0].get("type") != "header":
+    if not records or records[0][1].get("type") != "header":
         raise ConfigError("journal does not start with a header record")
-    h = records[0]
+    h = records[0][1]
     if h.get("schema") != SCHEMA:
         raise ConfigError(f"unsupported journal schema {h.get('schema')}")
     theta = _theta(h)
@@ -186,11 +188,22 @@ def parse_journal(text: str):
     base = Rectangle(*_rational_pair(h, "base"), 0)
     levels = []
     final = None
-    for rec in records[1:]:
+    for ln, rec in records[1:]:
+        if final is not None:
+            raise ConfigError(f"journal line {ln} follows the final record")
         kind = rec.get("type")
         if kind == "level":
+            if len(levels) == cfg.depth:
+                raise ConfigError(
+                    f"journal line {ln} is a level beyond the depth {cfg.depth}"
+                )
             levels.append(_parse_level(rec, cfg))
         elif kind == "final":
+            if len(levels) != cfg.depth:
+                raise ConfigError(
+                    f"journal line {ln} is a final record after {len(levels)} "
+                    f"of {cfg.depth} levels"
+                )
             final = Rectangle(*_rational_pair(rec, "rect"), _get(rec, "level", int))
         else:
             raise ConfigError(f"unknown journal record type {kind!r}")

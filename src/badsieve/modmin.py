@@ -1,13 +1,9 @@
-"""Exact minimization of affine maps modulo an integer.
-
-Everything the record enumerator needs about the one-dimensional problem
-"how close does (a*x + c) mod m get to 0 for x in a range" reduces to two
-integer queries, each answered without scanning x:
+"""Exact minimization of an affine map modulo an integer.
 
   first_reaching(a, c, m, s, L)   minimal x in [0, L] with (a*x + c) % m <= s
-  congruence_solutions_in_range   count / min-|x| of (a*x + c) % m == v on [-T, T]
 
-first_reaching runs a Euclidean descent: the modulus at least halves per
+answers "when does (a*x + c) mod m first come within s of 0" without
+scanning x. It runs a Euclidean descent: the modulus at least halves per
 step, so the cost is O(log m) big-integer operations regardless of how wild
 the continued fraction of a/m is. That property is what keeps Liouville-type
 coefficients tractable.
@@ -15,13 +11,15 @@ coefficients tractable.
 With a limit L the descent is also capped by the answer's size: each level
 carries the largest wrap count that could still map back to an x <= L, and
 the walk stops with None once that bound is negative. A caller that only
-wants witnesses up to a height H therefore pays about log(H) levels, not the
-whole continued fraction of a/m.
+wants witnesses up to L therefore pays about log(L) levels, not the whole
+continued fraction of a/m.
+
+Nothing in the package calls it yet. It is the kernel of a planned
+sublinear exact q-scan for verify: the next q that can set a new running
+minimum is the first q whose residue falls in a window.
 """
 
 from __future__ import annotations
-
-from math import gcd
 
 
 def first_reaching(a: int, c: int, m: int, s: int, limit: int | None = None):
@@ -77,36 +75,3 @@ def first_reaching(a: int, c: int, m: int, s: int, limit: int | None = None):
         res = (m * res + lo + a - 1) // a
     return res
 
-
-def congruence_solutions_in_range(a: int, c: int, v: int, m: int, T: int):
-    """(count, x_best) for (a*x + c) % m == v over x in [-T, T].
-
-    x_best is the solution of smallest |x| (positive preferred on a tie),
-    or None when count == 0.
-    """
-    if T < 0:
-        return 0, None
-    g = gcd(a % m, m)
-    r = (v - c) % m
-    if r % g:
-        return 0, None
-    mp = m // g
-    if mp == 1:
-        x0 = 0
-    else:
-        x0 = (r // g) * pow((a % m) // g, -1, mp) % mp
-    # solutions are x = x0 + k*mp; k range for [-T, T]:
-    lo_k = -((T + x0) // mp)
-    hi_k = (T - x0) // mp
-    if lo_k > hi_k:
-        return 0, None
-    count = hi_k - lo_k + 1
-    best = None
-    k_near = (-x0) // mp
-    for k in (k_near, k_near + 1):
-        k = min(max(k, lo_k), hi_k)
-        x = x0 + k * mp
-        key = (abs(x), 0 if x >= 0 else 1)
-        if best is None or key < best[0]:
-            best = (key, x)
-    return count, best[1]

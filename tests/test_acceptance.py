@@ -1,5 +1,5 @@
 """The nine acceptance criteria, one test each, one PASS/FAIL line each,
-plus a pin of the full-scale sequence bytes.
+plus pins of the sequence bytes to 2^32 and 2^36 and paper-scale runs.
 
 Shared fixtures keep the expensive work (enumeration to 16^8, full-depth
 runs, Q = 10^5 scans) to one pass per theta. Runtime budgets are asserted
@@ -21,6 +21,7 @@ from badsieve.bestapprox import (
 )
 from badsieve.catalog import catalog_names, get_entry
 from badsieve.cli import main
+from badsieve.journal import parse_certificate, parse_journal
 from badsieve.sieve import SieveConfig, dangerous_children, run_sieve
 from badsieve.verify import (
     bad_alpha_beta_score,
@@ -85,6 +86,14 @@ FULL_SCALE_FINGERPRINTS = {
     "liouville": ("sha256:9593237c03aa3e9643fb0ffb49be925c", 13),
 }
 
+# The same to M^2 = 2^36. Both tables were computed by the earlier per-m2
+# sweep enumerator, an independent implementation of the same records.
+FINGERPRINTS_2_36 = {
+    "sqrt2-sqrt3": ("sha256:d7af02b60a21a0af1a04c048ba306918", 45),
+    "golden-pair": ("sha256:729c15d77eefd08a213e5b58107597fb", 26),
+    "liouville": ("sha256:79c6850bcfcbe76abb53b91da17d44dd", 13),
+}
+
 
 def test_full_scale_sequence_fingerprints(full_sequences):
     assert CFG.height_sq_bound() == 2**32
@@ -93,6 +102,14 @@ def test_full_scale_sequence_fingerprints(full_sequences):
         for name, (_theta, seq, _) in full_sequences.items()
     }
     assert got == FULL_SCALE_FINGERPRINTS
+
+
+def test_sequence_fingerprints_2_36():
+    got = {}
+    for name in catalog_names():
+        seq = enumerate_best_approx(get_entry(name).theta, 2**36)
+        got[name] = (sequence_fingerprint(seq), len(seq.vectors))
+    assert got == FINGERPRINTS_2_36
 
 
 def test_criterion_1_oracle_equivalence():
@@ -216,6 +233,28 @@ def test_paper_scale_sieve():
         assert m.kills <= (b["h1"] if m.kind == 1 else b["h2"])
     assert s.type1_total + s.type2_total < b["union"]
     assert cert.verified_form_min > cfg.epsilon
+
+
+def test_paper_scale_construct_and_verify(tmp_path, capsys):
+    # R = 2^14 depth 2 end to end through the CLI: enumeration to
+    # M^2 = 2^56, two sieve levels, then verify's re-enumeration, fingerprint
+    # checks and q-scans
+    cfg = SieveConfig(R=16384, depth=2)
+    assert cfg.scale_valid and cfg.height_sq_bound() == 2**56
+    out = tmp_path / "run"
+    argv = ["construct", "--catalog", "sqrt2-sqrt3", "--R", "16384", "--depth", "2",
+            "--out", str(out)]
+    assert main(argv) == 0
+    _theta, _cfg, tfp, sfp, _base, levels, final = parse_journal(
+        (out / "journal.jsonl").read_text()
+    )
+    cert = parse_certificate((out / "certificate.json").read_text())
+    assert len(levels) == 2 and final is not None
+    assert (cert.theta_fp, cert.sequence_fp) == (tfp, sfp)
+    assert cert.verified_form_min > cfg.epsilon
+    capsys.readouterr()
+    assert main(["verify", str(out / "certificate.json"), "--Q", "1000"]) == 0
+    assert "fingerprints ok" in capsys.readouterr().out
 
 
 def test_criterion_5_certificate_soundness(full_runs):

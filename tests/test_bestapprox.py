@@ -1,13 +1,11 @@
 import pytest
 from fractions import Fraction
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from badsieve.bestapprox import (
     BestApproxSequence,
     BestApproxVector,
-    _branch_first,
-    _ScaledForm,
     audit_growth,
     audit_minkowski,
     canonical_class,
@@ -18,7 +16,12 @@ from badsieve.bestapprox import (
     vector_kind,
 )
 from badsieve.catalog import get_entry
-from badsieve.errors import ConfigError, DegenerateForm, IncompleteSequence
+from badsieve.errors import (
+    ConfigError,
+    DegenerateForm,
+    IncompleteSequence,
+    PrecisionExhausted,
+)
 from badsieve.rationals import ThetaForm
 from badsieve.verify import brute_best_approx
 
@@ -113,41 +116,39 @@ def test_matches_oracle_random_theta(p1, p2, bound):
     assert fast.vectors == slow.vectors
 
 
-@pytest.mark.parametrize(
-    "theta",
-    [
-        ThetaForm(Fraction(2, 7), Fraction(3, 5)),
-        ThetaForm(Fraction(5, 12), Fraction(1, 8)),
-        ThetaForm(Fraction(4, 9), Fraction(2, 9)),
-        ThetaForm(Fraction(1, 2), Fraction(1, 2)),
-    ],
+_SMALL_DENOMINATORS = sorted(
+    {Fraction(p, q) for q in range(2, 13) for p in range(1, q)}
 )
-def test_branch_first_merged_walk_matches_brute(theta):
-    # one walk per sign must find the minimal x in [x_lo, x_hi] on either
-    # side of the distance, for every threshold up to the initial s = D
-    sf = _ScaledForm(theta)
-    D = sf.D
-    for m2 in range(4):
-        walks = sf.branches(m2)
-        covered = {(sign * x, m2) for _a, _c, sign, x_start in walks
-                   for x in range(x_start, 3 * D)}
-        want_cover = {
-            (m1, m2)
-            for m1 in range(-3 * D + 1, 3 * D)
-            if (m1, m2) != (0, 0) and canonical_class(m1, m2) == (m1, m2)
-        }
-        assert covered == want_cover
-        for a, c, sign, x_start in walks:
-            for s in range(-1, D + 1):
-                for x_lo in range(x_start, x_start + D + 1):
-                    for x_hi in range(x_lo - 1, x_lo + 2 * D):
-                        want = next(
-                            (x for x in range(x_lo, x_hi + 1)
-                             if sf.dist_scaled(sign * x, m2) <= s),
-                            None,
-                        )
-                        got = _branch_first(sf, a, c, x_lo, s, x_hi)
-                        assert got == want, (theta, m2, sign, s, x_lo, x_hi)
+
+
+@settings(max_examples=300, deadline=None)
+@example(t1=Fraction(1, 2), t2=Fraction(1, 3), bound=200)
+@given(
+    t1=st.sampled_from(_SMALL_DENOMINATORS),
+    t2=st.sampled_from(_SMALL_DENOMINATORS),
+    bound=st.integers(1, 200),
+)
+def test_matches_oracle_small_denominators(t1, t2, bound):
+    # exact zeros, half-integer values and tied classes all occur here; both
+    # sides must agree on the records or both raise DegenerateForm. The
+    # example (1/2, 1/3) has both in its first box: the class (1, 0) at
+    # z = +D/2 and z = -D/2, and the true tie of (1, 1) and (-1, 1) at 1/6
+    theta = ThetaForm(t1, t2)
+    try:
+        slow = brute_best_approx(theta, bound)
+    except DegenerateForm:
+        with pytest.raises(DegenerateForm):
+            enumerate_best_approx(theta, bound)
+        return
+    assert enumerate_best_approx(theta, bound).vectors == slow.vectors
+
+
+def test_precision_guard_fires_before_degenerate_record():
+    # past its truncation's reach the 51-digit pair meets an exact zero of
+    # the truncated form at height_sq ~ 2^109, below the bound 2^112; the
+    # record's own precision check must stop the run there, not the zero
+    with pytest.raises(PrecisionExhausted):
+        enumerate_best_approx(SQRT_PAIR, 2**112)
 
 
 def test_audits_clean_on_real_sequences():

@@ -299,8 +299,8 @@ def test_resume_killed_chosen_exits_5(small_run, tmp_path, capsys):
 
 
 def _extra_level(journal):
-    # a level 3 record after the final line: parse_journal accepts it, since
-    # the levels stay consecutive, and only the prefix compare rejects it
+    # a level 3 record after the final line: the levels stay consecutive,
+    # so only the record order rejects it
     level = journal.splitlines()[-2].replace('"level":2,', '"level":3,', 1)
     assert '"level":3,' in level
     return journal + level + "\n"
@@ -312,18 +312,28 @@ def _reformatted_level(journal):
     return "\n".join(lines[:3]) + "\n"
 
 
-# Edits of the small run's complete journal that parse_journal accepts, and
-# what the rejection message must name. A lowered depth reaches the run
-# itself, which takes its config from the header: the header then differs
-# only in the sequence fingerprint, whose completeness bound is R^(2 depth).
+def _final_first(journal):
+    lines = journal.splitlines()
+    return "\n".join([lines[0], lines[-1]] + lines[1:-1]) + "\n"
+
+
+# Edits of the small run's complete journal (header, levels 0-2, final on
+# lines 1-5), and what the rejection message must name. The first four
+# break the record order that parse_journal checks; a reformatted line
+# parses and only the byte-prefix compare rejects it.
 EDITED = {
-    "extra-level": (_extra_level, ["holds 6 records, more than the 5 lines"]),
+    "extra-level": (_extra_level, ["journal line 6 follows the final record"]),
+    "second-final": (
+        lambda j: j + j.splitlines()[-1] + "\n",
+        ["journal line 6 follows the final record"],
+    ),
+    "final-before-levels": (
+        _final_first,
+        ["journal line 2 is a final record after 0 of 3 levels"],
+    ),
     "lowered-depth": (
         lambda j: j.replace('"depth":3,', '"depth":2,', 1),
-        [
-            "line 1 differs from this run's journal in sequence_fingerprint",
-            "holds 5 records, more than the 4 lines",
-        ],
+        ["journal line 4 is a level beyond the depth 2"],
     ),
     "reformatted-level": (
         _reformatted_level,

@@ -1,12 +1,11 @@
 import linecache
 import sys
-from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from badsieve.modmin import congruence_solutions_in_range, first_reaching
+from badsieve.modmin import first_reaching
 
 
 def brute_first_reaching(a, c, m, s, limit=20000):
@@ -156,34 +155,6 @@ def test_first_reaching_huge_modulus():
     assert (a * x) % m <= 10**40
     for probe in range(1, 500):
         assert (a * probe) % m > 10**40
-
-
-@settings(max_examples=300, deadline=None)
-@given(
-    m=st.integers(min_value=1, max_value=3000),
-    a=st.integers(min_value=0, max_value=3000),
-    c=st.integers(min_value=0, max_value=3000),
-    v=st.integers(min_value=0, max_value=3000),
-    T=st.integers(min_value=0, max_value=120),
-)
-def test_congruence_solutions(m, a, c, v, T):
-    v %= m
-    sols = [x for x in range(-T, T + 1) if (a * x + c) % m == v]
-    count, best = congruence_solutions_in_range(a, c, v, m, T)
-    assert count == len(sols)
-    if sols:
-        want = min(sols, key=lambda x: (abs(x), 0 if x >= 0 else 1))
-        assert best == want
-    else:
-        assert best is None
-
-
-def test_congruence_degenerate_modulus_one_step():
-    # a multiple of m: constant map
-    count, best = congruence_solutions_in_range(10, 3, 3, 5, 4)
-    assert count == 9 and best == 0
-    count, best = congruence_solutions_in_range(10, 3, 4, 5, 4)
-    assert count == 0 and best is None
 
 
 @pytest.mark.parametrize(
