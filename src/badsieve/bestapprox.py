@@ -13,8 +13,8 @@ height <= h and zeta <= s/D are the points of the 3-D lattice
 {(m1, m2, z)} in the box |m1| <= h, |m2| <= isqrt(h), |z| <= s. One exact
 box query lists them: scale the columns so the box fits a cube, reduce the
 basis with integral LLL (warm-started from the previous query's basis),
-list the cube's circumscribed ball by Fincke-Pohst enumeration in integers
-and Fractions, and filter the box exactly.
+list the cube's circumscribed ball by Fincke-Pohst enumeration in
+integers, and filter the box exactly.
 
 After a record (h0, z0) every class in the box with s = z0 - 1 lies above
 h0, so the next record is the least-height class in the first non-empty
@@ -38,7 +38,6 @@ from .rationals import (
     ThetaForm,
     form_value,
     format_rational,
-    parse_rational,
     validate_precision,
     weighted_height_sq,
 )
@@ -318,9 +317,6 @@ def type_window(
 
 # --- serialization ---------------------------------------------------------
 
-_FIELDS = ("index", "m0", "m1", "m2", "height_sq", "zeta", "kind")
-
-
 def sequence_fingerprint(seq: BestApproxSequence) -> str:
     """Identity of a sequence's exact content and completeness bound."""
     import hashlib
@@ -343,31 +339,3 @@ def export_sequence_lines(seq: BestApproxSequence) -> str:
         }
         lines.append(json.dumps(rec, separators=(",", ":")))
     return "".join(line + "\n" for line in lines)
-
-
-def parse_sequence_lines(
-    text: str, theta: ThetaForm, height_sq_max: int
-) -> BestApproxSequence:
-    vectors = []
-    for line in text.splitlines():
-        if not line.strip():
-            continue
-        rec = json.loads(line)
-        if list(rec.keys()) != list(_FIELDS):
-            raise ConfigError(f"unexpected sequence record fields: {list(rec)}")
-        vectors.append(
-            BestApproxVector(
-                index=rec["index"],
-                m0=rec["m0"],
-                m1=rec["m1"],
-                m2=rec["m2"],
-                height_sq=rec["height_sq"],
-                zeta=parse_rational(rec["zeta"]),
-                kind=rec["kind"],
-            )
-        )
-    seq = BestApproxSequence(
-        theta=theta, height_sq_max=height_sq_max, vectors=tuple(vectors)
-    )
-    seq.validate()
-    return seq

@@ -8,6 +8,7 @@ no timestamps, so identical configs produce identical bytes.
 
 import argparse
 import dataclasses
+import os
 import sys
 from pathlib import Path
 
@@ -51,6 +52,7 @@ EXIT_CODES = {
     "no_survivor": 3,
     "precision": 4,
     "config": 5,
+    "broken_pipe": 141,  # stdout closed early, as 128 + SIGPIPE in a shell
 }
 
 
@@ -208,8 +210,7 @@ def cmd_construct(args) -> int:
             "at this R, measured stats decide"
         )
 
-    bound = max(1, cfg.height_sq_bound())
-    seq = enumerate_best_approx(theta, bound)
+    seq = enumerate_best_approx(theta, cfg.height_sq_bound())
     print(f"theta {theta_fingerprint(theta)}")
     print(f"sequence {sequence_fingerprint(seq)}  vectors {len(seq.vectors)}")
 
@@ -244,10 +245,7 @@ def _verified_path(cert_path: str, out) -> Path:
 def cmd_verify(args) -> int:
     cert = parse_certificate(Path(args.certificate).read_text())
     theta = cert.theta
-    if theta_fingerprint(theta) != cert.theta_fp:
-        raise ConfigError("certificate theta fingerprint mismatch")
-
-    seq = enumerate_best_approx(theta, max(1, cert.height_sq_bound))
+    seq = enumerate_best_approx(theta, cert.height_sq_bound)
     if sequence_fingerprint(seq) != cert.sequence_fp:
         raise ConfigError(
             "sequence fingerprint mismatch: enumeration no longer reproduces "
@@ -330,7 +328,7 @@ def cmd_crosscheck(args) -> int:
 
     cfg = SieveConfig(R=args.R, depth=args.depth, policy=args.policy, seed=args.seed)
     for name, theta in pairs:
-        seq = enumerate_best_approx(theta, max(1, cfg.height_sq_bound()))
+        seq = enumerate_best_approx(theta, cfg.height_sq_bound())
         _, journal = run_sieve(theta, cfg, seq)
         checked = 0
         for rec in journal.levels:
@@ -396,7 +394,16 @@ def cmd_catalog(args) -> int:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader of stdout is gone; point stdout at devnull so that the
+        # flush at interpreter exit cannot raise again (Python docs, SIGPIPE)
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_CODES["broken_pipe"]
     except (DegenerateForm, InvariantViolation) as e:
         print(f"violation: {e}", file=sys.stderr)
         return EXIT_CODES["violation"]

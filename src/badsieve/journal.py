@@ -123,6 +123,24 @@ def _theta(obj: dict) -> ThetaForm:
     )
 
 
+def _config(obj: dict) -> SieveConfig:
+    return SieveConfig(
+        R=_get(obj, "R", int),
+        depth=_get(obj, "depth", int),
+        policy=_get(obj, "policy", str),
+        seed=_get(obj, "seed", int),
+    )
+
+
+def _check_derived(stored: dict, derived: dict, keys: tuple[str, ...]) -> None:
+    """Each stored copy stored[key] must be the value the writer derives,
+    derived[key], JSON type included; else ConfigError naming the key."""
+    for key in keys:
+        got, want = stored.get(key), derived[key]
+        if json.dumps(got, sort_keys=True) != json.dumps(want, sort_keys=True):
+            raise ConfigError(f"field {key!r} is {got!r}, but recomputed it is {want!r}")
+
+
 def _parse_level(rec: dict, cfg: SieveConfig) -> LevelRecord:
     level = _get(rec, "level", int)
     marks = tuple(
@@ -134,25 +152,21 @@ def _parse_level(rec: dict, cfg: SieveConfig) -> LevelRecord:
         )
         for m in _items(rec, "marks", dict)
     )
-    stats = DangerStats.collect(cfg, level, marks, _get(rec, "union_kills", int))
-    if (
-        stats.type1_total != rec.get("type1_total")
-        or stats.type2_total != rec.get("type2_total")
-    ):
-        raise ConfigError("journal level record inconsistent with its marks")
-    if (
-        stats.survivors != rec.get("survivors")
-        or rec.get("bounds") != cfg.capacity_bounds()
-    ):
-        raise ConfigError("journal level record inconsistent with its config")
-    return LevelRecord(
+    union_kills = _get(rec, "union_kills", int)
+    parsed = LevelRecord(
         level=level,
         rect=Rectangle(*_rational_pair(rec, "rect"), level),
         window1=tuple(_items(rec, "window1", int)),
         window2=tuple(_items(rec, "window2", int)),
-        stats=stats,
+        stats=DangerStats(marks, union_kills, cfg.R**3 - union_kills),
         chosen=tuple(_items(rec, "chosen", int, 2)),
     )
+    _check_derived(
+        rec,
+        _level_record(parsed, cfg),
+        ("type1_total", "type2_total", "survivors", "bounds"),
+    )
+    return parsed
 
 
 def parse_journal(text: str):
@@ -179,12 +193,7 @@ def parse_journal(text: str):
     if h.get("schema") != SCHEMA:
         raise ConfigError(f"unsupported journal schema {h.get('schema')}")
     theta = _theta(h)
-    cfg = SieveConfig(
-        R=_get(h, "R", int),
-        depth=_get(h, "depth", int),
-        policy=_get(h, "policy", str),
-        seed=_get(h, "seed", int),
-    )
+    cfg = _config(h)
     base = Rectangle(*_rational_pair(h, "base"), 0)
     levels = []
     final = None
@@ -244,8 +253,8 @@ def check_resume_prefix(old: str, new: str) -> None:
         raise ConfigError(count)
 
 
-def certificate_json(cert: Certificate) -> str:
-    obj = {
+def _certificate_record(cert: Certificate) -> dict:
+    return {
         "schema": SCHEMA,
         "kind": "certificate",
         "theta": {
@@ -255,10 +264,10 @@ def certificate_json(cert: Certificate) -> str:
             "fingerprint": cert.theta_fp,
         },
         "config": {
-            "R": cert.R,
-            "depth": cert.depth,
-            "policy": cert.policy,
-            "seed": cert.seed,
+            "R": cert.config.R,
+            "depth": cert.config.depth,
+            "policy": cert.config.policy,
+            "seed": cert.config.seed,
         },
         "sequence_fingerprint": cert.sequence_fp,
         "eta": [format_rational(cert.eta[0]), format_rational(cert.eta[1])],
@@ -273,7 +282,10 @@ def certificate_json(cert: Certificate) -> str:
             "score": float(cert.bad_theta_score_at_Q[1]) ** (1.0 / 3.0),
         },
     }
-    return json.dumps(obj, indent=2) + "\n"
+
+
+def certificate_json(cert: Certificate) -> str:
+    return json.dumps(_certificate_record(cert), indent=2) + "\n"
 
 
 def parse_certificate(text: str) -> Certificate:
@@ -288,22 +300,19 @@ def parse_certificate(text: str) -> Certificate:
     ):
         raise ConfigError("not a certificate file of a supported schema")
     t = _get(obj, "theta", dict)
-    c = _get(obj, "config", dict)
     score = obj.get("bad_theta_score_at_Q", "missing")
     if score is not None:  # null until verify stamps a score
         s = _get(obj, "bad_theta_score_at_Q", dict)
         score = (_get(s, "Q", int), _rational(s, "score_cubed"))
-    return Certificate(
+    cert = Certificate(
         theta=_theta(t),
-        theta_fp=_get(t, "fingerprint", str),
+        config=_config(_get(obj, "config", dict)),
         sequence_fp=_get(obj, "sequence_fingerprint", str),
-        R=_get(c, "R", int),
-        depth=_get(c, "depth", int),
-        policy=_get(c, "policy", str),
-        seed=_get(c, "seed", int),
         eta=_rational_pair(obj, "eta"),
-        epsilon=_rational(obj, "epsilon"),
-        height_sq_bound=_get(obj, "height_sq_bound", int),
         verified_form_min=_rational(obj, "verified_form_min"),
         bad_theta_score_at_Q=score,
     )
+    derived = _certificate_record(cert)
+    _check_derived(t, derived["theta"], ("fingerprint",))
+    _check_derived(obj, derived, ("epsilon", "height_sq_bound"))
+    return cert

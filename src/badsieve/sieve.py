@@ -275,23 +275,17 @@ class VectorMark:
 
 @dataclass(frozen=True)
 class DangerStats:
-    level: int
     per_vector: tuple[VectorMark, ...]
-    type1_total: int
-    type2_total: int
     union_kills: int
     survivors: int
 
-    @classmethod
-    def collect(cls, cfg: SieveConfig, level: int, marks, union_size: int):
-        return cls(
-            level=level,
-            per_vector=tuple(marks),
-            type1_total=sum(m.kills for m in marks if m.kind == TYPE1),
-            type2_total=sum(m.kills for m in marks if m.kind != TYPE1),
-            union_kills=union_size,
-            survivors=cfg.R**3 - union_size,
-        )
+    @property
+    def type1_total(self) -> int:
+        return sum(m.kills for m in self.per_vector if m.kind == TYPE1)
+
+    @property
+    def type2_total(self) -> int:
+        return sum(m.kills for m in self.per_vector if m.kind != TYPE1)
 
 
 @dataclass(frozen=True)
@@ -364,7 +358,8 @@ def sieve_step(
         for j, ranges in rows.items():
             union[j] = union.get(j, []) + ranges
     union = {j: merge_ranges(r) for j, r in union.items()}
-    stats = DangerStats.collect(cfg, n, marks, _count_covered(union))
+    union_kills = _count_covered(union)
+    stats = DangerStats(tuple(marks), union_kills, R**3 - union_kills)
     if stats.survivors == 0:
         raise NoSurvivor(
             n + 1,
@@ -391,17 +386,23 @@ def sieve_step(
 @dataclass(frozen=True)
 class Certificate:
     theta: ThetaForm
-    theta_fp: str
+    config: SieveConfig
     sequence_fp: str
-    R: int
-    depth: int
-    policy: str
-    seed: int
     eta: tuple[Fraction, Fraction]
-    epsilon: Fraction
-    height_sq_bound: int
     verified_form_min: Fraction
     bad_theta_score_at_Q: tuple[int, Fraction] | None = None  # (Q, score cubed)
+
+    @property
+    def theta_fp(self) -> str:
+        return theta_fingerprint(self.theta)
+
+    @property
+    def epsilon(self) -> Fraction:
+        return self.config.epsilon
+
+    @property
+    def height_sq_bound(self) -> int:
+        return self.config.height_sq_bound()
 
 
 @dataclass(frozen=True)
@@ -420,14 +421,13 @@ def run_sieve(
     cfg: SieveConfig,
     seq: BestApproxSequence,
 ) -> tuple[Certificate, RunJournal]:
-    """Full descent to cfg.depth. seq must be complete to R^(2 depth) (and at
-    least to 1)."""
+    """Full descent to cfg.depth. seq must be complete to R^(2 depth)."""
     if seq.theta != theta:
         raise ConfigError("sequence was built for a different theta")
-    need = max(1, cfg.height_sq_bound())
-    if seq.height_sq_max < need:
+    bound = cfg.height_sq_bound()
+    if seq.height_sq_max < bound:
         raise IncompleteSequence(
-            f"sieve to depth {cfg.depth} needs completeness to M^2 = {need}, "
+            f"sieve to depth {cfg.depth} needs completeness to M^2 = {bound}, "
             f"sequence covers {seq.height_sq_max}"
         )
     if seq.vectors:
@@ -441,7 +441,6 @@ def run_sieve(
         levels.append(rec)
 
     eta = rect.center(cfg)
-    bound = cfg.height_sq_bound()
     in_range = tuple(v for v in seq.vectors if v.height_sq <= bound)
     if not in_range:
         raise InvariantViolation("no vectors at all below the certified bound")
@@ -454,15 +453,9 @@ def run_sieve(
         )
     cert = Certificate(
         theta=theta,
-        theta_fp=theta_fingerprint(theta),
+        config=cfg,
         sequence_fp=sequence_fingerprint(seq),
-        R=cfg.R,
-        depth=cfg.depth,
-        policy=cfg.policy,
-        seed=cfg.seed,
         eta=eta,
-        epsilon=cfg.epsilon,
-        height_sq_bound=bound,
         verified_form_min=vfm,
     )
     journal = RunJournal(

@@ -11,7 +11,6 @@ from badsieve.bestapprox import (
     canonical_class,
     enumerate_best_approx,
     export_sequence_lines,
-    parse_sequence_lines,
     type_window,
     vector_kind,
 )
@@ -60,6 +59,12 @@ def test_first_record_sqrt_pair():
     assert v.m0 == -1
     assert v.zeta == Fraction(FIRST_ZETA_NUM, 10**51)
     assert v.kind == 2
+    # the export (and so the sequence fingerprint) keeps a stable field
+    # order, one object per line
+    assert export_sequence_lines(seq) == (
+        f'{{"index":1,"m0":-1,"m1":1,"m2":1,"height_sq":1,'
+        f'"zeta":"{v.zeta.numerator}/{v.zeta.denominator}","kind":2}}\n'
+    )
 
 
 def test_bound_zero_is_empty():
@@ -192,21 +197,3 @@ def test_type_window_needs_complete_sequence():
     seq = enumerate_best_approx(SQRT_PAIR, 255)
     with pytest.raises(IncompleteSequence):
         type_window(seq, 1, R=4, n=1)
-
-
-def test_export_parse_roundtrip():
-    seq = enumerate_best_approx(SQRT_PAIR, 500)
-    text = export_sequence_lines(seq)
-    back = parse_sequence_lines(text, SQRT_PAIR, 500)
-    assert back == seq
-    # stable field order, one object per line
-    first = text.splitlines()[0]
-    assert first.startswith('{"index":1,"m0":')
-
-
-def test_parse_rejects_reordered_records():
-    seq = enumerate_best_approx(SQRT_PAIR, 500)
-    lines = export_sequence_lines(seq).splitlines()
-    lines[0], lines[1] = lines[1], lines[0]
-    with pytest.raises(ConfigError):
-        parse_sequence_lines("\n".join(lines), SQRT_PAIR, 500)

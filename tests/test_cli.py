@@ -1,17 +1,19 @@
 import json
+import os
 import re
 import subprocess
 import sys
 
 import pytest
 
-from badsieve.bestapprox import enumerate_best_approx
+from badsieve.bestapprox import enumerate_best_approx, sequence_fingerprint
 from badsieve.cli import main
 from badsieve.catalog import get_entry
+from badsieve.errors import ConfigError
 from badsieve.journal import parse_certificate, parse_journal
-from badsieve.rationals import dist_to_nearest_int
+from badsieve.rationals import dist_to_nearest_int, format_rational, parse_rational
 from badsieve.sieve import SieveConfig
-from badsieve.verify import grid_dangerous_children
+from badsieve.verify import grid_dangerous_children, linear_form_score
 
 
 def run_cli(*argv):
@@ -94,7 +96,7 @@ def small_run(tmp_path_factory):
 
 def test_construct_outputs_parse(small_run):
     cert = parse_certificate((small_run / "certificate.json").read_text())
-    assert cert.R == 8 and cert.depth == 3
+    assert cert.config.R == 8 and cert.config.depth == 3
     assert cert.verified_form_min > cert.epsilon
     assert cert.bad_theta_score_at_Q is None
 
@@ -128,6 +130,70 @@ def test_verify_tampered_fingerprint_exits_5(small_run, tmp_path):
     bad = tmp_path / "fp.json"
     bad.write_text(json.dumps(obj, indent=2))
     assert run_cli("verify", str(bad), "--Q", "10") == 5
+
+
+def _forge_height_bound(obj):
+    # a height bound of 1 with the fingerprint and form minimum that verify
+    # recomputes for it: only the bound's own derivation can tell
+    theta = get_entry("sqrt2-sqrt3").theta
+    eta = tuple(map(parse_rational, obj["eta"]))
+    seq = enumerate_best_approx(theta, 1)
+    obj["height_sq_bound"] = 1
+    obj["sequence_fingerprint"] = sequence_fingerprint(seq)
+    obj["verified_form_min"] = format_rational(
+        linear_form_score(theta, eta, seq).exact_score
+    )
+
+
+# Certificate fields that copy what theta and config determine, forged, and
+# the text the rejection must name.
+FORGED = {
+    "epsilon": (lambda o: o.update(epsilon=f"1/{10**12}"), "'epsilon'"),
+    "height_sq_bound": (_forge_height_bound, "'height_sq_bound'"),
+    "theta-fingerprint": (
+        lambda o: o["theta"].update(fingerprint="sha256:" + "0" * 32),
+        "'fingerprint'",
+    ),
+    "R-1": (lambda o: o["config"].update(R=1), "R must be at least 2"),
+    "policy-foo": (lambda o: o["config"].update(policy="foo"), "policy must be"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FORGED))
+def test_verify_forged_derived_field_exits_5(small_run, tmp_path, capsys, case):
+    forge, named = FORGED[case]
+    obj = json.loads((small_run / "certificate.json").read_text())
+    forge(obj)
+    bad = tmp_path / "forged.json"
+    bad.write_text(json.dumps(obj, indent=2))
+    assert run_cli("verify", str(bad), "--Q", "10") == 5
+    err = capsys.readouterr().err
+    assert "config error" in err and named in err, err
+    assert not (tmp_path / "forged.verified.json").exists()
+
+
+def test_parse_journal_rejects_bool_total(small_run):
+    lines = (small_run / "journal.jsonl").read_text().splitlines()
+    assert '"type1_total":0,' in lines[1] and '"union_kills":0,' in lines[1]
+    lines[1] = lines[1].replace('"type1_total":0,', '"type1_total":false,')
+    with pytest.raises(ConfigError, match="type1_total"):
+        parse_journal("\n".join(lines))
+
+
+def test_closed_stdout_exits_141():
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # closed before the child writes anything
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "badsieve", "catalog", "list"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141, proc.stderr
+    assert "config error" not in proc.stderr
 
 
 def test_verify_missing_file_exits_5(tmp_path):
