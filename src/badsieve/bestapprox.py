@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt, lcm
 
-from .errors import ConfigError, DegenerateForm, IncompleteSequence
+from .errors import ConfigError, DegenerateForm
 # unused here; the benchmark's tracer (perfbench/spans.py) wraps this name
 from .modmin import first_reaching  # noqa: F401
 from .rationals import (
@@ -300,19 +300,6 @@ def audit_growth(seq: BestApproxSequence, step: int = 28) -> list[tuple[str, int
     scan([v for v in seq.vectors if v.kind == TYPE1], "type1")
     scan([v for v in seq.vectors if v.kind == TYPE2], "type2")
     return bad
-
-
-def type_window(
-    seq: BestApproxSequence, kind: int, R: int, n: int
-) -> list[BestApproxVector]:
-    """Vectors of the given kind with R^(2n) < height_sq <= R^(2(n+1))."""
-    hi = R ** (2 * (n + 1))
-    if seq.height_sq_max < hi:
-        raise IncompleteSequence(
-            f"need completeness to height_sq {hi}, have {seq.height_sq_max}"
-        )
-    lo = R ** (2 * n)
-    return [v for v in seq.vectors if v.kind == kind and lo < v.height_sq <= hi]
 
 
 # --- serialization ---------------------------------------------------------

@@ -56,6 +56,19 @@ EXIT_CODES = {
 }
 
 
+def _write_output(path: Path, text: str) -> None:
+    """Write through a temporary file beside path and os.replace, so a run
+    that dies while writing leaves the old file or the new, never a torn one."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    print(f"wrote {path}")
+
+
 class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on bad flags; route through the config path instead
     def error(self, message):
@@ -138,7 +151,6 @@ def build_parser() -> _Parser:
 def cmd_best_approx(args) -> int:
     theta = _resolve_theta(args)
     seq = enumerate_best_approx(theta, args.bound)
-    Path(args.out).write_text(export_sequence_lines(seq))
     print(f"theta {theta_fingerprint(theta)}")
     print(f"sequence {sequence_fingerprint(seq)}")
     print(f"vectors {len(seq.vectors)}  height_sq_max {seq.height_sq_max}")
@@ -155,7 +167,7 @@ def cmd_best_approx(args) -> int:
         print(f"growth VIOLATION at {list(growth)[:5]}")
     else:
         print("growth ok (0 violations)")
-    print(f"wrote {args.out}")
+    _write_output(Path(args.out), export_sequence_lines(seq))
     return EXIT_CODES["violation"] if bad else EXIT_CODES["ok"]
 
 
@@ -224,12 +236,8 @@ def cmd_construct(args) -> int:
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    jpath = out / "journal.jsonl"
-    cpath = out / "certificate.json"
-    jpath.write_text(text)
-    cpath.write_text(certificate_json(cert))
-    print(f"wrote {jpath}")
-    print(f"wrote {cpath}")
+    _write_output(out / "journal.jsonl", text)
+    _write_output(out / "certificate.json", certificate_json(cert))
     return EXIT_CODES["ok"]
 
 
@@ -286,8 +294,7 @@ def cmd_verify(args) -> int:
         cert, bad_theta_score_at_Q=(args.Q, rep.score_cubed)
     )
     vpath = _verified_path(args.certificate, args.out)
-    vpath.write_text(certificate_json(stamped))
-    print(f"wrote {vpath}")
+    _write_output(vpath, certificate_json(stamped))
     return EXIT_CODES["ok"]
 
 

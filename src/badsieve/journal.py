@@ -4,17 +4,21 @@ A journal is JSONL: one header line (config, theta, fingerprints, base
 corner), one line per completed level, one final line. Every rational is a
 "p/q" string, keys are emitted in a fixed order, and nothing time- or
 host-dependent is ever written, so identical runs produce byte-identical
-files. A run resumes from a journal whose lines are the first lines of the
-journal it writes itself (check_resume_prefix).
+files. parse_journal replays the chain from the base corner and checks each
+copy it derives: levels, rectangles, windows, totals, the theta fingerprint.
+What needs the records (the marks, the pick's clearance, the sequence
+fingerprint) is left to crosscheck and to resume, which requires the old
+journal's lines to begin the one it writes (check_resume_prefix).
 """
 
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from fractions import Fraction
 
 from .errors import ConfigError
-from .rationals import ThetaForm, format_rational, parse_rational
+from .rationals import ThetaForm, format_rational, parse_rational, theta_fingerprint
 from .sieve import (
     Certificate,
     DangerStats,
@@ -23,6 +27,7 @@ from .sieve import (
     RunJournal,
     SieveConfig,
     VectorMark,
+    child_rect,
 )
 
 SCHEMA = 1
@@ -74,18 +79,18 @@ def _level_record(rec: LevelRecord, cfg: SieveConfig) -> dict:
     }
 
 
-def _final_record(j: RunJournal) -> dict:
+def _final_record(final: Rectangle) -> dict:
     return {
         "type": "final",
-        "level": j.final.level,
-        "rect": _rect_pair(j.final),
+        "level": final.level,
+        "rect": _rect_pair(final),
     }
 
 
 def journal_text(j: RunJournal) -> str:
     lines = [_dump(_header_record(j))]
     lines.extend(_dump(_level_record(rec, j.config)) for rec in j.levels)
-    lines.append(_dump(_final_record(j)))
+    lines.append(_dump(_final_record(j.final)))
     return "".join(line + "\n" for line in lines)
 
 
@@ -132,17 +137,16 @@ def _config(obj: dict) -> SieveConfig:
     )
 
 
-def _check_derived(stored: dict, derived: dict, keys: tuple[str, ...]) -> None:
+def _check_derived(stored: dict, derived: dict) -> None:
     """Each stored copy stored[key] must be the value the writer derives,
     derived[key], JSON type included; else ConfigError naming the key."""
-    for key in keys:
-        got, want = stored.get(key), derived[key]
+    for key, want in derived.items():
+        got = stored.get(key)
         if json.dumps(got, sort_keys=True) != json.dumps(want, sort_keys=True):
             raise ConfigError(f"field {key!r} is {got!r}, but recomputed it is {want!r}")
 
 
-def _parse_level(rec: dict, cfg: SieveConfig) -> LevelRecord:
-    level = _get(rec, "level", int)
+def _parse_level(rec: dict, rect: Rectangle, cfg: SieveConfig) -> LevelRecord:
     marks = tuple(
         VectorMark(
             index=_get(m, "index", int),
@@ -154,29 +158,32 @@ def _parse_level(rec: dict, cfg: SieveConfig) -> LevelRecord:
     )
     union_kills = _get(rec, "union_kills", int)
     parsed = LevelRecord(
-        level=level,
-        rect=Rectangle(*_rational_pair(rec, "rect"), level),
-        window1=tuple(_items(rec, "window1", int)),
-        window2=tuple(_items(rec, "window2", int)),
+        rect=rect,
         stats=DangerStats(marks, union_kills, cfg.R**3 - union_kills),
         chosen=tuple(_items(rec, "chosen", int, 2)),
     )
-    _check_derived(
-        rec,
-        _level_record(parsed, cfg),
-        ("type1_total", "type2_total", "survivors", "bounds"),
-    )
+    _check_derived(rec, _level_record(parsed, cfg))
     return parsed
+
+
+@contextmanager
+def _at_line(ln: int):
+    """Prefix the journal line number to a ConfigError raised inside."""
+    try:
+        yield
+    except ConfigError as e:
+        raise ConfigError(f"journal line {ln}: {e}") from None
 
 
 def parse_journal(text: str):
     """-> (theta, config, theta_fp, sequence_fp, base, levels, final|None).
 
-    Tolerates a missing final record (interrupted run); everything else
-    malformed, a missing key, a value of the wrong JSON type or records out
-    of order included, raises ConfigError. In order means: the header, at
-    most depth levels, then nothing after a final record, which comes only
-    after all depth levels."""
+    Level 0 refines the base, each later level and the final record the
+    child chosen before it. Tolerates a missing final record (interrupted
+    run); anything else malformed, underived or out of order raises
+    ConfigError naming the line. In order means: the header, at most depth
+    levels, then nothing after a final record, which comes only after all
+    depth levels."""
     records = []
     for ln, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
@@ -189,12 +196,16 @@ def parse_journal(text: str):
             raise ConfigError(f"journal line {ln} is not a JSON object")
     if not records or records[0][1].get("type") != "header":
         raise ConfigError("journal does not start with a header record")
-    h = records[0][1]
+    ln, h = records[0]
     if h.get("schema") != SCHEMA:
         raise ConfigError(f"unsupported journal schema {h.get('schema')}")
-    theta = _theta(h)
-    cfg = _config(h)
-    base = Rectangle(*_rational_pair(h, "base"), 0)
+    with _at_line(ln):
+        theta = _theta(h)
+        cfg = _config(h)
+        tfp = theta_fingerprint(theta)
+        _check_derived(h, {"theta_fingerprint": tfp})
+        sfp = _get(h, "sequence_fingerprint", str)
+        base = rect = Rectangle(*_rational_pair(h, "base"), 0)
     levels = []
     final = None
     for ln, rec in records[1:]:
@@ -206,23 +217,20 @@ def parse_journal(text: str):
                 raise ConfigError(
                     f"journal line {ln} is a level beyond the depth {cfg.depth}"
                 )
-            levels.append(_parse_level(rec, cfg))
+            with _at_line(ln):
+                levels.append(_parse_level(rec, rect, cfg))
+                rect = child_rect(rect, cfg, *levels[-1].chosen)
         elif kind == "final":
             if len(levels) != cfg.depth:
                 raise ConfigError(
                     f"journal line {ln} is a final record after {len(levels)} "
                     f"of {cfg.depth} levels"
                 )
-            final = Rectangle(*_rational_pair(rec, "rect"), _get(rec, "level", int))
+            with _at_line(ln):
+                _check_derived(rec, _final_record(rect))
+            final = rect
         else:
             raise ConfigError(f"unknown journal record type {kind!r}")
-    expected = 0
-    for rec in levels:
-        if rec.level != expected:
-            raise ConfigError("journal levels are not consecutive from 0")
-        expected += 1
-    tfp = _get(h, "theta_fingerprint", str)
-    sfp = _get(h, "sequence_fingerprint", str)
     return theta, cfg, tfp, sfp, base, tuple(levels), final
 
 
@@ -313,6 +321,6 @@ def parse_certificate(text: str) -> Certificate:
         bad_theta_score_at_Q=score,
     )
     derived = _certificate_record(cert)
-    _check_derived(t, derived["theta"], ("fingerprint",))
-    _check_derived(obj, derived, ("epsilon", "height_sq_bound"))
+    _check_derived(t, {"fingerprint": derived["theta"]["fingerprint"]})
+    _check_derived(obj, {k: derived[k] for k in ("epsilon", "height_sq_bound")})
     return cert

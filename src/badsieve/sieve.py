@@ -32,7 +32,6 @@ from .bestapprox import (
     TYPE2,
     BestApproxSequence,
     sequence_fingerprint,
-    type_window,
 )
 from .errors import (
     ConfigError,
@@ -119,15 +118,16 @@ class Rectangle:
 def child_rect(B: Rectangle, cfg: SieveConfig, i: int, j: int) -> Rectangle:
     R = cfg.R
     if not (0 <= i < R * R and 0 <= j < R):
-        raise ConfigError(f"child index ({i}, {j}) out of range for R={R}")
+        raise ConfigError(f"chosen child ({i}, {j}) is out of range for R={R}")
     cw1 = cfg.delta / R ** (2 * (B.level + 1))
     cw2 = cfg.delta / R ** (B.level + 1)
     return Rectangle(B.b1 + i * cw1, B.b2 + j * cw2, B.level + 1)
 
 
 def _strip_values(lo: Fraction, hi: Fraction, eps: Fraction) -> range:
-    """Integers c whose open strip (c-eps, c+eps) can meet [lo, hi]."""
-    return range(ceil(lo - eps), floor(hi + eps) + 1)
+    """Integers c whose open strip (c-eps, c+eps) meets [lo, hi], that is
+    lo - eps < c < hi + eps."""
+    return range(floor(lo - eps) + 1, ceil(hi + eps))
 
 
 def rect_clear(B: Rectangle, v, cfg: SieveConfig) -> bool:
@@ -136,11 +136,7 @@ def rect_clear(B: Rectangle, v, cfg: SieveConfig) -> bool:
     possible only on the boundary."""
     w1, w2 = B.widths(cfg)
     lo, hi = form_range(v.m1, v.m2, B.b1, B.b2, w1, w2)
-    eps = cfg.epsilon
-    for c in _strip_values(lo, hi, eps):
-        if lo < c + eps and hi > c - eps:
-            return False
-    return True
+    return not _strip_values(lo, hi, cfg.epsilon)
 
 
 def merge_ranges(ranges: list[tuple[int, int]]) -> list[tuple[int, int]]:
@@ -237,9 +233,7 @@ def gap_condition(B: Rectangle, v, cfg: SieveConfig) -> bool:
     return Fraction(1, a2) - width > w2
 
 
-def select_base(
-    theta: ThetaForm, cfg: SieveConfig, seq: BestApproxSequence
-) -> Rectangle:
+def select_base(cfg: SieveConfig, seq: BestApproxSequence) -> Rectangle:
     """First corner on the grid (i/(4R), j/(4R)), scanned lexicographically
     from (1, 1), whose level-0 rectangle clears the strips of every best
     approximation vector with M^2 <= 1."""
@@ -290,12 +284,24 @@ class DangerStats:
 
 @dataclass(frozen=True)
 class LevelRecord:
-    level: int  # the level being refined (rect.level)
+    """A refined rectangle, its window's marks and the chosen child."""
+
     rect: Rectangle
-    window1: tuple[int, ...]  # vector indices, Type1
-    window2: tuple[int, ...]
     stats: DangerStats
     chosen: tuple[int, int]
+
+    @property
+    def level(self) -> int:
+        return self.rect.level
+
+    @property
+    def window1(self) -> tuple[int, ...]:
+        """Indices of the window's Type1 vectors, in mark order."""
+        return tuple(m.index for m in self.stats.per_vector if m.kind == TYPE1)
+
+    @property
+    def window2(self) -> tuple[int, ...]:
+        return tuple(m.index for m in self.stats.per_vector if m.kind == TYPE2)
 
 
 def _row_covers(ranges: list[tuple[int, int]], i: int) -> bool:
@@ -341,11 +347,14 @@ def sieve_step(
 ) -> tuple[Rectangle, LevelRecord]:
     n = rect.level
     R = cfg.R
-    win1 = type_window(seq, TYPE1, R, n)
-    win2 = type_window(seq, TYPE2, R, n)
+    lo, hi = R ** (2 * n), R ** (2 * (n + 1))
+    if seq.height_sq_max < hi:
+        raise IncompleteSequence(f"level {n} needs records complete to M^2 = {hi}")
+    window = [v for v in seq.vectors if lo < v.height_sq <= hi]
+    window.sort(key=lambda v: v.kind)  # stable: Type1 first, each in index order
     marks = []
     union: KillRows = {}
-    for v in win1 + win2:
+    for v in window:
         rows = dangerous_children(rect, v, cfg)
         marks.append(
             VectorMark(
@@ -372,15 +381,7 @@ def sieve_step(
     if cfg.policy == "random":
         k = random.Random(f"{cfg.seed}:{n}").randrange(stats.survivors)
     chosen = kth_survivor(union, R, k)
-    rec = LevelRecord(
-        level=n,
-        rect=rect,
-        window1=tuple(v.index for v in win1),
-        window2=tuple(v.index for v in win2),
-        stats=stats,
-        chosen=chosen,
-    )
-    return child_rect(rect, cfg, *chosen), rec
+    return child_rect(rect, cfg, *chosen), LevelRecord(rect, stats, chosen)
 
 
 @dataclass(frozen=True)
@@ -421,7 +422,7 @@ def run_sieve(
     cfg: SieveConfig,
     seq: BestApproxSequence,
 ) -> tuple[Certificate, RunJournal]:
-    """Full descent to cfg.depth. seq must be complete to R^(2 depth)."""
+    """Full descent to cfg.depth, certifying seq's vectors up to R^(2 depth)."""
     if seq.theta != theta:
         raise ConfigError("sequence was built for a different theta")
     bound = cfg.height_sq_bound()
@@ -430,31 +431,28 @@ def run_sieve(
             f"sieve to depth {cfg.depth} needs completeness to M^2 = {bound}, "
             f"sequence covers {seq.height_sq_max}"
         )
-    if seq.vectors:
-        validate_precision(theta, seq.height_sq_max, seq.vectors[-1].zeta)
-
-    rect = select_base(theta, cfg, seq)
-    base = rect
-    levels: list[LevelRecord] = []
-    while rect.level < cfg.depth:
-        rect, rec = sieve_step(cfg, rect, seq)
-        levels.append(rec)
-
-    eta = rect.center(cfg)
     in_range = tuple(v for v in seq.vectors if v.height_sq <= bound)
     if not in_range:
         raise InvariantViolation("no vectors at all below the certified bound")
     sub = BestApproxSequence(theta=theta, height_sq_max=bound, vectors=in_range)
-    report = linear_form_score(theta, eta, sub)
-    vfm = report.exact_score
-    if vfm is None or vfm <= cfg.epsilon:
+    validate_precision(theta, bound, in_range[-1].zeta)
+
+    base = rect = select_base(cfg, sub)
+    levels: list[LevelRecord] = []
+    while rect.level < cfg.depth:
+        rect, rec = sieve_step(cfg, rect, sub)
+        levels.append(rec)
+
+    eta = rect.center(cfg)
+    vfm = linear_form_score(theta, eta, sub).exact_score
+    if vfm <= cfg.epsilon:
         raise InvariantViolation(
             f"certified margin failed: min form distance {vfm} <= eps {cfg.epsilon}"
         )
     cert = Certificate(
         theta=theta,
         config=cfg,
-        sequence_fp=sequence_fingerprint(seq),
+        sequence_fp=sequence_fingerprint(sub),
         eta=eta,
         verified_form_min=vfm,
     )

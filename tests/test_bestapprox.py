@@ -11,14 +11,12 @@ from badsieve.bestapprox import (
     canonical_class,
     enumerate_best_approx,
     export_sequence_lines,
-    type_window,
     vector_kind,
 )
 from badsieve.catalog import get_entry
 from badsieve.errors import (
     ConfigError,
     DegenerateForm,
-    IncompleteSequence,
     PrecisionExhausted,
 )
 from badsieve.rationals import ThetaForm
@@ -180,20 +178,3 @@ def test_audit_growth_flags_violation():
     out = audit_growth(_fake_seq([a, b]), step=1)
     assert ("global", 1, 2) in out
     assert ("type1", 1, 2) in out
-
-
-def test_type_window_matches_filtered_oracle():
-    seq = enumerate_best_approx(SQRT_PAIR, 256)
-    oracle = brute_best_approx(SQRT_PAIR, 256)
-    for kind in (1, 2):
-        got = type_window(seq, kind, R=4, n=1)
-        want = [
-            v for v in oracle.vectors if v.kind == kind and 16 < v.height_sq <= 256
-        ]
-        assert got == want
-
-
-def test_type_window_needs_complete_sequence():
-    seq = enumerate_best_approx(SQRT_PAIR, 255)
-    with pytest.raises(IncompleteSequence):
-        type_window(seq, 1, R=4, n=1)

@@ -10,9 +10,14 @@ from badsieve.bestapprox import enumerate_best_approx, sequence_fingerprint
 from badsieve.cli import main
 from badsieve.catalog import get_entry
 from badsieve.errors import ConfigError
-from badsieve.journal import parse_certificate, parse_journal
+from badsieve.journal import (
+    certificate_json,
+    journal_text,
+    parse_certificate,
+    parse_journal,
+)
 from badsieve.rationals import dist_to_nearest_int, format_rational, parse_rational
-from badsieve.sieve import SieveConfig
+from badsieve.sieve import SieveConfig, run_sieve
 from badsieve.verify import grid_dangerous_children, linear_form_score
 
 
@@ -196,6 +201,46 @@ def test_closed_stdout_exits_141():
     assert "config error" not in proc.stderr
 
 
+def test_longer_sequence_certifies_its_bound(tmp_path):
+    # records complete beyond R^(2 depth) certify, and fingerprint, only
+    # those up to that bound, which is what verify re-enumerates
+    theta = get_entry("sqrt2-sqrt3").theta
+    cfg = SieveConfig(R=8, depth=2)
+    exact = run_sieve(theta, cfg, enumerate_best_approx(theta, 8**4))
+    longer = run_sieve(theta, cfg, enumerate_best_approx(theta, 8**6))
+    assert journal_text(longer[1]) == journal_text(exact[1])
+    text = certificate_json(longer[0])
+    assert text == certificate_json(exact[0])
+    path = tmp_path / "certificate.json"
+    path.write_text(text)
+    assert run_cli("verify", str(path), "--Q", "10") == 0
+
+
+def test_failed_replace_keeps_old_certificate(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "run"
+    out.mkdir()
+    (out / "certificate.json").write_text("old\n")
+    replace = os.replace
+
+    def fail_certificate(src, dst):
+        if os.path.basename(dst) == "certificate.json":
+            raise OSError("replace failed")
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", fail_certificate)
+    code = run_cli(
+        "construct", "--catalog", "golden-pair", "--R", "8", "--depth", "1",
+        "--out", str(out),
+    )
+    assert code == 5
+    assert "replace failed" in capsys.readouterr().err
+    assert (out / "certificate.json").read_text() == "old\n"
+    # the certificate's temp file is gone; the journal was replaced first
+    assert sorted(p.name for p in out.iterdir()) == [
+        "certificate.json", "journal.jsonl"
+    ]
+
+
 def test_verify_missing_file_exits_5(tmp_path):
     assert run_cli("verify", str(tmp_path / "absent.json")) == 5
 
@@ -310,8 +355,12 @@ def test_resume_tampered_fingerprint_exits_5(small_run, tmp_path, capsys, keys):
     code, out = _resume_from(small_run, tmp_path, zero)
     assert code == 5
     err = capsys.readouterr().err
-    assert "resume journal line 1 differs" in err
-    assert all(key in err for key in keys)
+    if "theta_fingerprint" in keys:
+        # parse_journal recomputes it, before the prefix compare runs
+        assert "journal line 1: field 'theta_fingerprint'" in err
+    else:
+        assert "resume journal line 1 differs" in err
+        assert all(key in err for key in keys)
     assert not (out / "journal.jsonl").exists()
 
 
@@ -321,8 +370,48 @@ def test_resume_tampered_window_exits_5(small_run, tmp_path, capsys):
     )
     assert code == 5
     err = capsys.readouterr().err
-    assert "line 2 differs from this run's journal in window1" in err
+    assert "journal line 2: field 'window1'" in err
     assert not (out / "journal.jsonl").exists()
+
+
+def _swap_windows(records):
+    rec = records[1]
+    rec["window1"], rec["window2"] = rec["window2"], rec["window1"]
+
+
+# Edits of the small run's complete journal (header, levels 0-2, final on
+# lines 1-5) that change a copy of what the base and the chosen chain
+# determine, with the line and the key the rejection must name. Moving the
+# base moves every rectangle the chain derives from it.
+UNDERIVED = {
+    "final-rect": (lambda r: r[-1].update(rect=["1/3", "1/3"]), 5, "'rect'"),
+    "final-level": (lambda r: r[-1].update(level=99), 5, "'level'"),
+    "level-1-rect": (lambda r: r[2].update(rect=["1/3", "1/3"]), 3, "'rect'"),
+    "base": (lambda r: r[0].update(base=["1/7", "1/7"]), 2, "'rect'"),
+    "window1-99": (lambda r: r[1]["window1"].append(99), 2, "'window1'"),
+    "windows-swapped": (_swap_windows, 2, "'window1'"),
+    "theta-fingerprint": (
+        lambda r: r[0].update(theta_fingerprint="sha256:" + "0" * 32),
+        1,
+        "'theta_fingerprint'",
+    ),
+    "chosen-1e6": (lambda r: r[1].update(chosen=[10**6, 10**6]), 2, "chosen child"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNDERIVED))
+def test_parse_journal_rejects_underived_copy(small_run, tmp_path, capsys, case):
+    edit, ln, key = UNDERIVED[case]
+    journal = (small_run / "journal.jsonl").read_text()
+    records = [json.loads(line) for line in journal.splitlines()]
+    edit(records)
+    text = "".join(json.dumps(r, separators=(",", ":")) + "\n" for r in records)
+    with pytest.raises(ConfigError, match=f"^journal line {ln}: .*{key}"):
+        parse_journal(text)
+    code, out = _resume_text(tmp_path, text)
+    assert code == 5
+    assert key in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_resume_tampered_kills_exits_5(small_run, tmp_path, capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -23,6 +24,7 @@ from badsieve.journal import (
 from badsieve.rationals import form_range
 from badsieve.sieve import (
     DangerStats,
+    LevelRecord,
     Rectangle,
     SieveConfig,
     VectorMark,
@@ -36,7 +38,7 @@ from badsieve.sieve import (
     select_base,
     sieve_step,
 )
-from badsieve.verify import grid_dangerous_children
+from badsieve.verify import brute_best_approx, grid_dangerous_children
 
 SQRT_PAIR = get_entry("sqrt2-sqrt3").theta
 
@@ -316,7 +318,7 @@ def fabricated_seq(theta, vectors, hmax=1):
 def test_select_base_no_constraints():
     theta = SQRT_PAIR
     cfg = SieveConfig(R=2, depth=1)
-    base = select_base(theta, cfg, fabricated_seq(theta, []))
+    base = select_base(cfg, fabricated_seq(theta, []))
     assert (base.b1, base.b2) == (Fraction(1, 8), Fraction(1, 8))
     assert base.level == 0
 
@@ -327,7 +329,7 @@ def test_select_base_skips_struck_corners():
     theta = SQRT_PAIR
     cfg = SieveConfig(R=2, depth=1)
     seq = fabricated_seq(theta, [(1, 0), (0, 1), (1, 1), (-1, 1)])
-    base = select_base(theta, cfg, seq)
+    base = select_base(cfg, seq)
     assert (base.b1, base.b2) == (Fraction(1, 8), Fraction(3, 8))
 
 
@@ -335,7 +337,7 @@ def test_select_base_needs_unit_completeness():
     theta = SQRT_PAIR
     cfg = SieveConfig(R=2, depth=1)
     with pytest.raises(IncompleteSequence):
-        select_base(theta, cfg, fabricated_seq(theta, [], hmax=0))
+        select_base(cfg, fabricated_seq(theta, [], hmax=0))
 
 
 # ----------------------------------------------------------------- stats
@@ -388,6 +390,39 @@ def test_step_with_empty_windows_keeps_all_children():
     assert rec.stats.survivors == 8
     assert rec.chosen == (0, 0)
     assert child == child_rect(rect, cfg, 0, 0)
+
+
+def test_level_windows_match_filtered_sequence():
+    # a level keeps its rectangle, marks and pick; its windows are the marked
+    # indices by kind, which must be the oracle's records of that kind in the
+    # level's height band R^(2n) < M^2 <= R^(2(n+1))
+    assert [f.name for f in dataclasses.fields(LevelRecord)] == [
+        "rect", "stats", "chosen"
+    ]
+    theta = SQRT_PAIR
+    cfg = SieveConfig(R=4, depth=2)
+    seq = enumerate_best_approx(theta, cfg.height_sq_bound())
+    oracle = brute_best_approx(theta, cfg.height_sq_bound())
+    _, journal = run_sieve(theta, cfg, seq)
+    marked = 0
+    for rec in journal.levels:
+        lo, hi = cfg.R ** (2 * rec.level), cfg.R ** (2 * rec.level + 2)
+        for kind, window in ((1, rec.window1), (2, rec.window2)):
+            assert window == tuple(
+                v.index
+                for v in oracle.vectors
+                if v.kind == kind and lo < v.height_sq <= hi
+            )
+            marked += len(window)
+    assert marked > 0
+
+
+def test_sieve_step_needs_complete_sequence():
+    # refining level 1 at R=4 marks the band 16 < M^2 <= 256
+    cfg = SieveConfig(R=4, depth=2)
+    seq = enumerate_best_approx(SQRT_PAIR, 255)
+    with pytest.raises(IncompleteSequence):
+        sieve_step(cfg, Rectangle(Fraction(1, 8), Fraction(1, 8), 1), seq)
 
 
 def test_step_union_merges_overlapping_kills():
