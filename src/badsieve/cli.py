@@ -10,6 +10,7 @@ import argparse
 import dataclasses
 import os
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 from .bestapprox import (
@@ -44,6 +45,7 @@ from .verify import (
     brute_best_approx,
     grid_dangerous_children,
     linear_form_score,
+    linear_weighted_min_scan,
 )
 
 EXIT_CODES = {
@@ -313,6 +315,17 @@ def _dump_sequence_divergence(name, fast, slow) -> None:
     )
 
 
+def _scan_divergence(fast, slow) -> str:
+    """The first running-minimum record where two scan reports differ."""
+    for k, (a, b) in enumerate(zip(fast.running_min_trace, slow.running_min_trace)):
+        if a != b:
+            return f"trace entry {k}: fast {a} linear {b}"
+    return (
+        f"trace lengths: fast {len(fast.running_min_trace)} "
+        f"linear {len(slow.running_min_trace)}"
+    )
+
+
 def cmd_crosscheck(args) -> int:
     if args.catalog or args.theta:
         pairs = [("theta", _resolve_theta(args))]
@@ -336,7 +349,7 @@ def cmd_crosscheck(args) -> int:
     cfg = SieveConfig(R=args.R, depth=args.depth, policy=args.policy, seed=args.seed)
     for name, theta in pairs:
         seq = enumerate_best_approx(theta, cfg.height_sq_bound())
-        _, journal = run_sieve(theta, cfg, seq)
+        cert, journal = run_sieve(theta, cfg, seq)
         checked = 0
         for rec in journal.levels:
             killed = set()
@@ -380,6 +393,22 @@ def cmd_crosscheck(args) -> int:
             f"{checked} (level, vector) pairs compared; chosen child and "
             f"union size checked on {len(journal.levels)} levels"
         )
+
+        Q = 10**4
+        zero = (Fraction(0), Fraction(0))
+        for label, eta, fast in (
+            ("inhomogeneous", cert.eta, bad_theta_score(theta, cert.eta, Q)),
+            ("homogeneous", zero, bad_alpha_beta_score(theta, Q)),
+        ):
+            slow = linear_weighted_min_scan(theta.theta1, theta.theta2, *eta, Q)
+            if fast == slow:
+                print(f"scan oracle: {name} Q={Q} {label}: equal")
+            else:
+                ok = False
+                print(
+                    f"scan oracle: {name} Q={Q} {label}: DIVERGENCE at "
+                    f"{_scan_divergence(fast, slow)}"
+                )
 
     if not ok:
         print("crosscheck FAILED")

@@ -17,6 +17,7 @@ import json
 from contextlib import contextmanager
 from fractions import Fraction
 
+from .bestapprox import TYPE1, TYPE2
 from .errors import ConfigError
 from .rationals import ThetaForm, format_rational, parse_rational, theta_fingerprint
 from .sieve import (
@@ -146,11 +147,20 @@ def _check_derived(stored: dict, derived: dict) -> None:
             raise ConfigError(f"field {key!r} is {got!r}, but recomputed it is {want!r}")
 
 
+def _kind(mark: dict) -> int:
+    kind = _get(mark, "kind", int)
+    if kind not in (TYPE1, TYPE2):
+        raise ConfigError(
+            f"field 'kind' is {kind}, neither {TYPE1} (Type1) nor {TYPE2} (Type2)"
+        )
+    return kind
+
+
 def _parse_level(rec: dict, rect: Rectangle, cfg: SieveConfig) -> LevelRecord:
     marks = tuple(
         VectorMark(
             index=_get(m, "index", int),
-            kind=_get(m, "kind", int),
+            kind=_kind(m),
             kills=_get(m, "kills", int),
             gap_ok=_get(m, "gap_ok", bool),
         )

@@ -279,7 +279,7 @@ class DangerStats:
 
     @property
     def type2_total(self) -> int:
-        return sum(m.kills for m in self.per_vector if m.kind != TYPE1)
+        return sum(m.kills for m in self.per_vector if m.kind == TYPE2)
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,14 @@
-"""Independent brute-force checks.
+"""Independent checks, and the exact weighted scores verify reports.
 
-Everything here is deliberately naive: exhaustive scans in exact integer
+bad_theta_score and bad_alpha_beta_score call modmin.weighted_min_scan,
+which jumps from one candidate q to the next instead of scoring every q.
+Everything else here is deliberately naive: exhaustive scans in exact integer
 arithmetic, no shared machinery with the clever implementations they audit.
-The weighted scores use fractional exponents 2/3 and 1/3; those never get
-evaluated as floats internally. max(q^(2/3) d1, q^(1/3) d2) is compared
-across q by cubing: the cube is max(q^2 d1^3, q d2^3), an exact rational.
+linear_weighted_min_scan, which scores every q, is the naive oracle of the
+two scores. The weighted scores use fractional exponents 2/3 and 1/3; those
+never get evaluated as floats internally. max(q^(2/3) d1, q^(1/3) d2) is
+compared across q by cubing: the cube is max(q^2 d1^3, q d2^3), an exact
+rational.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from .bestapprox import (
     vector_kind,
 )
 from .errors import ConfigError, DegenerateForm
+from .modmin import weighted_min_scan
 from .rationals import ThetaForm, form_range, form_value
 
 
@@ -45,10 +50,11 @@ class ScoreReport:
         return float(self.score_cubed) ** (1.0 / 3.0)
 
 
-def _weighted_min_scan(
+def linear_weighted_min_scan(
     t1: Fraction, t2: Fraction, e1: Fraction, e2: Fraction, Q: int
 ) -> ScoreReport:
-    """Exact min over 1 <= q <= Q of max(q^(2/3)||q t1 - e1||, q^(1/3)||q t2 - e2||).
+    """Exact min over 1 <= q <= Q of max(q^(2/3)||q t1 - e1||, q^(1/3)||q t2 - e2||),
+    scoring every q: the oracle of bad_theta_score and bad_alpha_beta_score.
 
     Scaled to a common denominator D: the cubed score at q is
     max(q^2 d1^3, q d2^3) / D^3 with d1, d2 the scaled distances, so the whole
@@ -85,12 +91,36 @@ def _weighted_min_scan(
     )
 
 
+def _weighted_score(
+    t1: Fraction, t2: Fraction, e1: Fraction, e2: Fraction, Q: int
+) -> ScoreReport:
+    """linear_weighted_min_scan's report, from modmin.weighted_min_scan on
+    the numerators over the common denominator D; about Q^(1/3) q scored."""
+    if Q < 1:
+        raise ConfigError("scan bound must be >= 1")
+    D = lcm(t1.denominator, t2.denominator, e1.denominator, e2.denominator)
+
+    def scaled(x: Fraction) -> int:
+        return x.numerator * (D // x.denominator)
+
+    best, best_q, trace = weighted_min_scan(
+        scaled(t1), -scaled(e1), scaled(t2), -scaled(e2), D, Q
+    )
+    D3 = D**3
+    return ScoreReport(
+        bound=Q,
+        score_cubed=Fraction(best, D3),
+        argmin=best_q,
+        running_min_trace=tuple((q, Fraction(c, D3)) for q, c in trace),
+    )
+
+
 def bad_theta_score(theta: ThetaForm, eta: tuple[Fraction, Fraction], Q: int) -> ScoreReport:
     """Inhomogeneous two-weight approximation quality of the shift eta:
     exact min over 1 <= q <= Q of max(q^(2/3)||q theta1 - eta1||,
     q^(1/3)||q theta2 - eta2||). Positive and stable means eta dodges the
     orbit at every scale tested."""
-    return _weighted_min_scan(theta.theta1, theta.theta2, eta[0], eta[1], Q)
+    return _weighted_score(theta.theta1, theta.theta2, eta[0], eta[1], Q)
 
 
 def bad_alpha_beta_score(theta: ThetaForm, Q: int) -> ScoreReport:
@@ -98,7 +128,7 @@ def bad_alpha_beta_score(theta: ThetaForm, Q: int) -> ScoreReport:
     q^(1/3)||q theta2||). Decay toward 0 exhibits a pair that is badly
     non-badly-approximable in the weighted sense."""
     zero = Fraction(0)
-    return _weighted_min_scan(theta.theta1, theta.theta2, zero, zero, Q)
+    return _weighted_score(theta.theta1, theta.theta2, zero, zero, Q)
 
 
 def linear_form_score(

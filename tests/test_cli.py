@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import re
@@ -6,6 +7,7 @@ import sys
 
 import pytest
 
+from badsieve import cli
 from badsieve.bestapprox import enumerate_best_approx, sequence_fingerprint
 from badsieve.cli import main
 from badsieve.catalog import get_entry
@@ -18,7 +20,11 @@ from badsieve.journal import (
 )
 from badsieve.rationals import dist_to_nearest_int, format_rational, parse_rational
 from badsieve.sieve import SieveConfig, run_sieve
-from badsieve.verify import grid_dangerous_children, linear_form_score
+from badsieve.verify import (
+    bad_theta_score,
+    grid_dangerous_children,
+    linear_form_score,
+)
 
 
 def run_cli(*argv):
@@ -414,6 +420,25 @@ def test_parse_journal_rejects_underived_copy(small_run, tmp_path, capsys, case)
     assert not out.exists()
 
 
+def test_parse_journal_rejects_unknown_kind(small_run, tmp_path, capsys):
+    # kind 7 is neither Type1 nor Type2; with the mark's index dropped from
+    # window2, every copy the parser derives still agrees with the marks
+    records = [
+        json.loads(line)
+        for line in (small_run / "journal.jsonl").read_text().splitlines()
+    ]
+    mark = next(m for m in records[1]["marks"] if m["kind"] == 2)
+    mark["kind"] = 7
+    records[1]["window2"].remove(mark["index"])
+    text = "".join(json.dumps(r, separators=(",", ":")) + "\n" for r in records)
+    with pytest.raises(ConfigError, match="^journal line 2: field 'kind' is 7"):
+        parse_journal(text)
+    code, out = _resume_text(tmp_path, text)
+    assert code == 5
+    assert "journal line 2: field 'kind'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_resume_tampered_kills_exits_5(small_run, tmp_path, capsys):
     # the totals still agree with the marks, so only re-marking can tell
     def inflate(records):
@@ -526,6 +551,26 @@ def test_crosscheck_small(capsys):
         == 0
     )
     assert "crosscheck ok" in capsys.readouterr().out
+
+
+def test_crosscheck_reports_scan_divergence(capsys, monkeypatch):
+    def off_by_one(theta, eta, Q):
+        rep = bad_theta_score(theta, eta, Q)
+        q, cubed = rep.running_min_trace[-1]
+        return dataclasses.replace(
+            rep, running_min_trace=rep.running_min_trace[:-1] + ((q + 1, cubed),)
+        )
+
+    monkeypatch.setattr(cli, "bad_theta_score", off_by_one)
+    code = run_cli(
+        "crosscheck", "--catalog", "sqrt2-sqrt3", "--bound", "100",
+        "--R", "4", "--depth", "1",
+    )
+    out = capsys.readouterr().out
+    assert code == 2
+    assert "scan oracle: theta Q=10000 homogeneous: equal" in out
+    assert "scan oracle: theta Q=10000 inhomogeneous: DIVERGENCE at trace entry" in out
+    assert "crosscheck FAILED" in out
 
 
 def test_crosscheck_empty_bound(capsys):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from badsieve.modmin import first_reaching
+from badsieve.modmin import first_reaching, icbrt
 
 
 def brute_first_reaching(a, c, m, s, limit=20000):
@@ -170,3 +170,28 @@ def test_first_reaching_huge_modulus():
 )
 def test_first_reaching_pinned(a, c, m, s, expect):
     assert first_reaching(a, c, m, s) == expect
+
+
+def test_icbrt_small_exhaustive():
+    r = 0
+    for n in range(10**5):
+        while (r + 1) ** 3 <= n:
+            r += 1
+        got = icbrt(n)
+        assert type(got) is int
+        assert got == r, n
+
+
+def test_icbrt_around_cubes_to_2_1000():
+    # far past 2**1024, where a float seed would overflow
+    ks = {2**e + d for e in range(1001) for d in (-1, 0, 1)} | {3**e for e in range(631)}
+    for k in sorted(ks - {0}):
+        for n, want in ((k**3 - 1, k - 1), (k**3, k), (k**3 + 1, k)):
+            got = icbrt(n)
+            assert type(got) is int
+            assert got == want, k
+
+
+def test_icbrt_rejects_negative():
+    with pytest.raises(ValueError):
+        icbrt(-1)

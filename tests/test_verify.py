@@ -1,17 +1,20 @@
+import hashlib
 import pytest
 from fractions import Fraction
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from badsieve.bestapprox import enumerate_best_approx
-from badsieve.catalog import get_entry
+from badsieve.catalog import catalog_names, get_entry
 from badsieve.errors import ConfigError, DegenerateForm
 from badsieve.rationals import ThetaForm, dist_to_nearest_int
+from badsieve.sieve import SieveConfig, run_sieve
 from badsieve.verify import (
     bad_alpha_beta_score,
     bad_theta_score,
     brute_best_approx,
     linear_form_score,
+    linear_weighted_min_scan,
 )
 
 SQRT_PAIR = get_entry("sqrt2-sqrt3").theta
@@ -47,6 +50,10 @@ def test_scan_stops_at_zero():
 def test_bound_must_be_positive():
     with pytest.raises(ConfigError):
         bad_theta_score(SQRT_PAIR, (Fraction(0), Fraction(0)), 0)
+    with pytest.raises(ConfigError):
+        bad_alpha_beta_score(SQRT_PAIR, 0)
+    with pytest.raises(ConfigError):
+        linear_weighted_min_scan(SQRT_PAIR.theta1, SQRT_PAIR.theta2, 0, 0, 0)
 
 
 def test_monotone_in_Q():
@@ -70,6 +77,14 @@ def test_trace_is_strictly_decreasing_records():
     assert rep.argmin == positions[-1]
 
 
+def _weighted_cubed(theta, eta, q):
+    """The cubed weighted quantity at one q, from the fractions directly."""
+    return max(
+        q * q * dist_to_nearest_int(q * theta.theta1 - eta[0]) ** 3,
+        q * dist_to_nearest_int(q * theta.theta2 - eta[1]) ** 3,
+    )
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     p1=st.integers(1, 96),
@@ -82,14 +97,109 @@ def test_cubed_scan_matches_float_reference(p1, p2, e1, e2, Q):
     theta = ThetaForm(Fraction(p1, 97), Fraction(p2, 97))
     eta = (Fraction(e1, 97), Fraction(e2, 97))
     rep = bad_theta_score(theta, eta, Q)
-    best = min(
-        max(
-            q * q * dist_to_nearest_int(q * theta.theta1 - eta[0]) ** 3,
-            q * dist_to_nearest_int(q * theta.theta2 - eta[1]) ** 3,
-        )
-        for q in range(1, Q + 1)
-    )
+    best = min(_weighted_cubed(theta, eta, q) for q in range(1, Q + 1))
     assert rep.score_cubed == best
+
+
+UNIT = st.fractions(min_value=0, max_value=1, max_denominator=10**6)
+THETA = UNIT.filter(lambda f: 0 < f < 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    t1=THETA,
+    t2=THETA,
+    eta=st.one_of(st.tuples(UNIT, UNIT), st.integers(1, 2000), st.none()),
+    Q=st.integers(1, 2000),
+)
+@example(t1=Fraction(3, 7), t2=Fraction(1, 7), eta=None, Q=2000)
+@example(t1=Fraction(3, 7), t2=Fraction(1, 7), eta=None, Q=1)
+@example(t1=Fraction(414214, 10**6), t2=Fraction(1, 999983), eta=1999, Q=2000)
+@example(t1=Fraction(2, 17), t2=Fraction(6, 17), eta=None, Q=100)
+def test_fast_scan_equals_linear_oracle(t1, t2, eta, Q):
+    # eta is a free pair, an integer k for the orbit point (k t1, k t2),
+    # which scores an exact 0 at q = k when k <= Q, or None for the
+    # homogeneous score, whose zero for (3/7, 1/7) is at q = 7; for
+    # (2/17, 6/17), q = 8 ties the running minimum, which is no new record
+    theta = ThetaForm(t1, t2)
+    if eta is None:
+        eta = (Fraction(0), Fraction(0))
+        assert bad_alpha_beta_score(theta, Q) == linear_weighted_min_scan(t1, t2, *eta, Q)
+    elif isinstance(eta, int):
+        eta = (eta * t1 % 1, eta * t2 % 1)
+    assert bad_theta_score(theta, eta, Q) == linear_weighted_min_scan(t1, t2, *eta, Q)
+
+
+@pytest.fixture(scope="module")
+def desk_etas():
+    """eta of each catalog pair's R=16 depth 2 random seed 0 certificate."""
+    cfg = SieveConfig(R=16, depth=2, policy="random", seed=0)
+    etas = {}
+    for name in catalog_names():
+        theta = get_entry(name).theta
+        cert, _ = run_sieve(theta, cfg, enumerate_best_approx(theta, cfg.height_sq_bound()))
+        etas[name] = (theta, cert.eta)
+    return etas
+
+
+def _trace_digest(rep):
+    text = "".join(f"{q} {cubed}\n" for q, cubed in rep.running_min_trace)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# Q = 10^6 scans of the R=16 depth 2 random seed 0 certificates, computed
+# once with linear_weighted_min_scan (about 25 s for all six): argmin, the
+# trace's q positions and the SHA-256 of its "q cubed" lines, whose last
+# value is score_cubed.
+SCAN_PINS_1E6 = {
+    ("sqrt2-sqrt3", "theta"): (1183, [1, 41, 1183],
+        "b3817541b523590845dd7540d6e6c5b62ce70cc95db9654269633c220ae147a7"),
+    ("sqrt2-sqrt3", "alpha_beta"): (41, [1, 7, 41],
+        "9888a03c084bd5609af22e0319a6ea1ce55e49e5464fe1f570836b3781f5404c"),
+    ("golden-pair", "theta"): (45648, [1, 2, 3, 5, 45648],
+        "19460507e220d9ac6baa14d25d135223af48de6f51b4ee17a4bb2230371b65b0"),
+    ("golden-pair", "alpha_beta"): (196418, [1, 2, 3, 5, 466, 1364, 3194, 196418],
+        "44c72223a361987884adca96115d8b32f880b2482fe8e13eb7670f40c60e07b2"),
+    ("liouville", "theta"): (100, [1, 9, 100],
+        "4c6647c3d56b91d76f94a2235163de68e990d82a22d13367cea4b8aa292a879f"),
+    ("liouville", "alpha_beta"): (10000, [1, 9, 100, 10000],
+        "069bc66ab8f8dd27911a005e133beda86fd4e00876c7ae742f3b361fcac9abf2"),
+}
+
+
+@pytest.mark.parametrize("name, score", sorted(SCAN_PINS_1E6))
+def test_desk_scans_match_linear_pins(desk_etas, name, score):
+    theta, eta = desk_etas[name]
+    if score == "theta":
+        rep = bad_theta_score(theta, eta, 10**6)
+    else:
+        rep = bad_alpha_beta_score(theta, 10**6)
+    argmin, positions, digest = SCAN_PINS_1E6[(name, score)]
+    assert rep.argmin == argmin
+    assert [q for q, _ in rep.running_min_trace] == positions
+    assert _trace_digest(rep) == digest
+    assert rep.score_cubed == rep.running_min_trace[-1][1]
+
+
+def test_scans_at_q_1e12(desk_etas):
+    # far beyond the linear oracle's reach: every trace record is rescored
+    # directly, and the minima can only fall from their Q = 10^6 values
+    Q = 10**12
+    theta, eta = desk_etas["sqrt2-sqrt3"]
+    zero = (Fraction(0), Fraction(0))
+    for rep, shift, small in (
+        (bad_theta_score(theta, eta, Q), eta, bad_theta_score(theta, eta, 10**6)),
+        (bad_alpha_beta_score(theta, Q), zero, bad_alpha_beta_score(theta, 10**6)),
+    ):
+        assert rep.bound == Q
+        assert all(_weighted_cubed(theta, shift, q) == c for q, c in rep.running_min_trace)
+        assert rep.running_min_trace[: len(small.running_min_trace)] == small.running_min_trace
+        assert 0 < rep.score_cubed <= small.score_cubed
+        assert rep.argmin == rep.running_min_trace[-1][0] <= Q
+    # the liouville pair's homogeneous collapse: score^3 about 10^-70
+    hom = bad_alpha_beta_score(get_entry("liouville").theta, Q)
+    assert Fraction(1, 10**71) < hom.score_cubed < Fraction(1, 10**69)
+    assert hom.argmin == 10**4
 
 
 def test_liouville_homogeneous_spike():
