@@ -217,9 +217,9 @@ def cmd_construct(args) -> int:
         )
 
     if not cfg.scale_valid:
-        lg = cfg.log2R_ceil
         print(
-            f"scale advisory: 1000*R^2*ceil(log2 R) = {1000 * cfg.R**2 * lg} "
+            "scale advisory: 1000*R^2*ceil(log2 R) = "
+            f"{cfg.capacity_bounds()['union']} "
             f">= R^3 = {cfg.R**3}; kill capacity is not a priori sufficient "
             "at this R, measured stats decide"
         )
@@ -300,30 +300,13 @@ def cmd_verify(args) -> int:
     return EXIT_CODES["ok"]
 
 
-def _dump_sequence_divergence(name, fast, slow) -> None:
-    n = min(len(fast.vectors), len(slow.vectors))
-    for k in range(n):
-        a, b = fast.vectors[k], slow.vectors[k]
+def _divergence(fast, slow) -> str:
+    """The first entry where the fast path's list and its oracle's differ,
+    or both lengths when one list is a prefix of the other."""
+    for k, (a, b) in enumerate(zip(fast, slow)):
         if a != b:
-            print(f"  {name}: first divergence at position {k}:")
-            print(f"    enumerated {a}")
-            print(f"    brute      {b}")
-            return
-    print(
-        f"  {name}: length mismatch: enumerated {len(fast.vectors)} "
-        f"vs brute {len(slow.vectors)}"
-    )
-
-
-def _scan_divergence(fast, slow) -> str:
-    """The first running-minimum record where two scan reports differ."""
-    for k, (a, b) in enumerate(zip(fast.running_min_trace, slow.running_min_trace)):
-        if a != b:
-            return f"trace entry {k}: fast {a} linear {b}"
-    return (
-        f"trace lengths: fast {len(fast.running_min_trace)} "
-        f"linear {len(slow.running_min_trace)}"
-    )
+            return f"entry {k}: fast {a} oracle {b}"
+    return f"lengths: fast {len(fast)} oracle {len(slow)}"
 
 
 def cmd_crosscheck(args) -> int:
@@ -343,8 +326,10 @@ def cmd_crosscheck(args) -> int:
             )
         else:
             ok = False
-            print(f"best-approx oracle: {name} bound {args.bound}: DIVERGENCE")
-            _dump_sequence_divergence(name, fast, slow)
+            print(
+                f"best-approx oracle: {name} bound {args.bound}: DIVERGENCE at "
+                f"{_divergence(fast.vectors, slow.vectors)}"
+            )
 
     cfg = SieveConfig(R=args.R, depth=args.depth, policy=args.policy, seed=args.seed)
     for name, theta in pairs:
@@ -359,15 +344,10 @@ def cmd_crosscheck(args) -> int:
                 grid = grid_dangerous_children(rec.rect, v, cfg)
                 if strip != grid:
                     ok = False
-                    j = min(
-                        j
-                        for j in strip.keys() | grid.keys()
-                        if strip.get(j) != grid.get(j)
-                    )
                     print(
                         f"strip oracle: {name} level {rec.level} vector "
-                        f"({v.m1},{v.m2}): DIVERGENCE in row {j}: "
-                        f"strip {strip.get(j, [])} grid {grid.get(j, [])}"
+                        f"({v.m1},{v.m2}): DIVERGENCE at "
+                        f"{_divergence(sorted(strip.items()), sorted(grid.items()))}"
                     )
                 killed.update(
                     (i, j)
@@ -407,7 +387,7 @@ def cmd_crosscheck(args) -> int:
                 ok = False
                 print(
                     f"scan oracle: {name} Q={Q} {label}: DIVERGENCE at "
-                    f"{_scan_divergence(fast, slow)}"
+                    f"{_divergence(fast.running_min_trace, slow.running_min_trace)}"
                 )
 
     if not ok:
@@ -428,6 +408,9 @@ def cmd_catalog(args) -> int:
 
 
 def main(argv=None) -> int:
+    # exact numbers may have any number of digits; Python 3.10.7+ limits
+    # int/str conversion to 4300 digits by default
+    getattr(sys, "set_int_max_str_digits", lambda n: None)(0)
     try:
         args = build_parser().parse_args(argv)
         code = args.func(args)

@@ -42,17 +42,26 @@ def _rect_pair(rect: Rectangle) -> list[str]:
     return [format_rational(rect.b1), format_rational(rect.b2)]
 
 
+# The config and theta fields, in the order the journal header and the
+# certificate both write them, with the JSON type each config field has.
+_CONFIG_FIELDS = {"R": int, "depth": int, "policy": str, "seed": int}
+_THETA_FIELDS = ("theta1", "theta2", "declared_error")
+
+
+def _config_record(cfg: SieveConfig) -> dict:
+    return {k: getattr(cfg, k) for k in _CONFIG_FIELDS}
+
+
+def _theta_record(theta: ThetaForm) -> dict:
+    return {k: format_rational(getattr(theta, k)) for k in _THETA_FIELDS}
+
+
 def _header_record(j: RunJournal) -> dict:
     return {
         "type": "header",
         "schema": SCHEMA,
-        "R": j.config.R,
-        "depth": j.config.depth,
-        "policy": j.config.policy,
-        "seed": j.config.seed,
-        "theta1": format_rational(j.theta.theta1),
-        "theta2": format_rational(j.theta.theta2),
-        "declared_error": format_rational(j.theta.declared_error),
+        **_config_record(j.config),
+        **_theta_record(j.theta),
         "theta_fingerprint": j.theta_fp,
         "sequence_fingerprint": j.sequence_fp,
         "base": _rect_pair(j.base),
@@ -124,17 +133,12 @@ def _rational_pair(obj: dict, key: str) -> tuple[Fraction, Fraction]:
 
 
 def _theta(obj: dict) -> ThetaForm:
-    return ThetaForm(
-        *(_rational(obj, k) for k in ("theta1", "theta2", "declared_error"))
-    )
+    return ThetaForm(*(_rational(obj, k) for k in _THETA_FIELDS))
 
 
 def _config(obj: dict) -> SieveConfig:
     return SieveConfig(
-        R=_get(obj, "R", int),
-        depth=_get(obj, "depth", int),
-        policy=_get(obj, "policy", str),
-        seed=_get(obj, "seed", int),
+        **{key: _get(obj, key, kind) for key, kind in _CONFIG_FIELDS.items()}
     )
 
 
@@ -189,11 +193,10 @@ def parse_journal(text: str):
     """-> (theta, config, theta_fp, sequence_fp, base, levels, final|None).
 
     Level 0 refines the base, each later level and the final record the
-    child chosen before it. Tolerates a missing final record (interrupted
-    run); anything else malformed, underived or out of order raises
-    ConfigError naming the line. In order means: the header, at most depth
-    levels, then nothing after a final record, which comes only after all
-    depth levels."""
+    child chosen before it. Tolerates a journal cut short (interrupted run);
+    anything else malformed, underived or out of the writer's order (the
+    header, depth levels, the final record, then nothing) raises ConfigError
+    naming the line."""
     records = []
     for ln, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
@@ -218,29 +221,19 @@ def parse_journal(text: str):
         base = rect = Rectangle(*_rational_pair(h, "base"), 0)
     levels = []
     final = None
-    for ln, rec in records[1:]:
-        if final is not None:
-            raise ConfigError(f"journal line {ln} follows the final record")
-        kind = rec.get("type")
-        if kind == "level":
-            if len(levels) == cfg.depth:
-                raise ConfigError(
-                    f"journal line {ln} is a level beyond the depth {cfg.depth}"
-                )
-            with _at_line(ln):
+    for k, (ln, rec) in enumerate(records[1:]):
+        with _at_line(ln):
+            want = "level" if k < cfg.depth else "final" if k == cfg.depth else None
+            found = rec.get("type")
+            if want is None or found != want:
+                expected = f"a {want!r} record" if want else "the end of the journal"
+                raise ConfigError(f"found a {found!r} record, expected {expected}")
+            if want == "level":
                 levels.append(_parse_level(rec, rect, cfg))
                 rect = child_rect(rect, cfg, *levels[-1].chosen)
-        elif kind == "final":
-            if len(levels) != cfg.depth:
-                raise ConfigError(
-                    f"journal line {ln} is a final record after {len(levels)} "
-                    f"of {cfg.depth} levels"
-                )
-            with _at_line(ln):
+            else:
                 _check_derived(rec, _final_record(rect))
-            final = rect
-        else:
-            raise ConfigError(f"unknown journal record type {kind!r}")
+                final = rect
     return theta, cfg, tfp, sfp, base, tuple(levels), final
 
 
@@ -275,18 +268,8 @@ def _certificate_record(cert: Certificate) -> dict:
     return {
         "schema": SCHEMA,
         "kind": "certificate",
-        "theta": {
-            "theta1": format_rational(cert.theta.theta1),
-            "theta2": format_rational(cert.theta.theta2),
-            "declared_error": format_rational(cert.theta.declared_error),
-            "fingerprint": cert.theta_fp,
-        },
-        "config": {
-            "R": cert.config.R,
-            "depth": cert.config.depth,
-            "policy": cert.config.policy,
-            "seed": cert.config.seed,
-        },
+        "theta": {**_theta_record(cert.theta), "fingerprint": cert.theta_fp},
+        "config": _config_record(cert.config),
         "sequence_fingerprint": cert.sequence_fp,
         "eta": [format_rational(cert.eta[0]), format_rational(cert.eta[1])],
         "epsilon": format_rational(cert.epsilon),

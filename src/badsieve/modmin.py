@@ -8,11 +8,12 @@ step, so the cost is O(log m) big-integer operations regardless of how wild
 the continued fraction of a/m is. That property is what keeps Liouville-type
 coefficients tractable.
 
-With a limit L the descent is also capped by the answer's size: each level
-carries the largest wrap count that could still map back to an x <= L, and
-the walk stops with None once that bound is negative. A caller that only
-wants witnesses up to L therefore pays about log(L) levels, not the whole
-continued fraction of a/m.
+The descent is also capped by the answer's size: each level carries the
+largest wrap count that could still map back to an x <= L, and the walk
+stops with None once that bound is negative. A caller that only wants
+witnesses up to L therefore pays about log(L) levels, not the whole
+continued fraction of a/m. Residues repeat with period m, so L = m - 1
+finds the first x overall.
 
 The kernel drives verify's weighted q-scan, weighted_min_scan: the next q
 that can set a new running minimum is the first q whose residue falls in a
@@ -23,16 +24,14 @@ scoring every q. icbrt, the exact integer cube root, sizes that window.
 from __future__ import annotations
 
 
-def first_reaching(a: int, c: int, m: int, s: int, limit: int | None = None):
-    """Smallest x >= 0 with (a*x + c) % m <= s, or None if no x works.
-
-    s may be any integer; s < 0 always returns None, s >= m - 1 returns 0.
-    With a limit, only x in [0, limit] count: the result is the uncapped
-    answer when that is <= limit and None otherwise (so limit < 0 gives None).
+def first_reaching(a: int, c: int, m: int, s: int, limit: int):
+    """Smallest x in [0, limit] with (a*x + c) % m <= s, or None if no such
+    x exists. s may be any integer; s < 0 or limit < 0 returns None, and
+    s >= m - 1 with limit >= 0 returns 0.
     """
     if m <= 0:
         raise ValueError("modulus must be positive")
-    if s < 0 or (limit is not None and limit < 0):
+    if s < 0 or limit < 0:
         return None
     a %= m
     c %= m
@@ -52,7 +51,7 @@ def first_reaching(a: int, c: int, m: int, s: int, limit: int | None = None):
             a = m - a
             lo, hi = m - hi, m - lo
         x0 = (lo + a - 1) // a
-        if limit is not None and x0 > limit:
+        if x0 > limit:
             # every solution has a*x >= lo, so x >= x0; equivalently the
             # next level's wrap bound (limit*a - lo) // m would be negative
             break
@@ -66,8 +65,7 @@ def first_reaching(a: int, c: int, m: int, s: int, limit: int | None = None):
         # k <= (limit*a - lo) // m, which caps the next level (and is >= 0
         # here because a*x0 >= lo).
         stack.append((m, a, lo))
-        if limit is not None:
-            limit = (limit * a - lo) // m
+        limit = (limit * a - lo) // m
         a, c, m, s = (-m) % a, (-lo) % a, a, hi - lo
     if res is None:
         return None

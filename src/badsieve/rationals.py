@@ -19,8 +19,12 @@ from .errors import ConfigError, PrecisionExhausted
 def parse_rational(text: str) -> Fraction:
     """Parse 'p/q', an integer string, or a decimal string, exactly.
 
-    Raises ConfigError on anything Fraction cannot represent exactly.
+    Raises ConfigError on anything Fraction cannot represent exactly, and on
+    exponent notation ('1e-5'), in which a short string builds an integer
+    of any size at a cost that grows with it.
     """
+    if "e" in text.lower():
+        raise ConfigError(f"exponent notation is not accepted: {text!r}")
     try:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:

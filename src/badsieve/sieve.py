@@ -22,10 +22,9 @@ oracle in the verify module.
 from __future__ import annotations
 
 import random
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, floor, inf, lcm
+from math import ceil, floor, lcm
 
 from .bestapprox import (
     TYPE1,
@@ -78,7 +77,7 @@ class SieveConfig:
         """Whether the survivor-count guarantee 1000 R^2 ceil(log2 R) < R^3
         holds. False means runs are advisory: survivors must be checked, not
         assumed. Desk-scale R fails this by design."""
-        return 1000 * self.R**2 * self.log2R_ceil < self.R**3
+        return self.capacity_bounds()["union"] < self.R**3
 
     def height_sq_bound(self) -> int:
         return self.R ** (2 * self.depth)
@@ -227,8 +226,6 @@ def gap_condition(B: Rectangle, v, cfg: SieveConfig) -> bool:
         # child size and the slope k = |m2|/|m1| sweeping across one row
         width = 2 * (eps / a1 + cw1 + Fraction(a2, a1) * cw2)
         return Fraction(1, a1) - width > w1
-    if a2 == 0:
-        return False
     width = 2 * (eps / a2 + cw2 + Fraction(a1, a2) * cw1)
     return Fraction(1, a2) - width > w2
 
@@ -304,11 +301,6 @@ class LevelRecord:
         return tuple(m.index for m in self.stats.per_vector if m.kind == TYPE2)
 
 
-def _row_covers(ranges: list[tuple[int, int]], i: int) -> bool:
-    p = bisect_right(ranges, (i, inf))  # ranges starting at or before i
-    return p > 0 and ranges[p - 1][1] >= i
-
-
 def kth_survivor(rows: KillRows, R: int, k: int) -> tuple[int, int]:
     """The k-th (from 0) child (i, j), in i-major order, that no range of
     rows covers; k must be below the number of such children.
@@ -330,7 +322,7 @@ def kth_survivor(rows: KillRows, R: int, k: int) -> tuple[int, int]:
             i = start + k // per_column
             r = k % per_column
             for j in range(R):
-                if not _row_covers(rows.get(j, ()), i):
+                if not any(lo <= i <= hi for lo, hi in rows.get(j, ())):
                     if r == 0:
                         return i, j
                     r -= 1

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+from math import isqrt
 
 import pytest
 
@@ -62,6 +63,36 @@ def test_malformed_theta(tmp_path):
         )
         == 5
     )
+
+
+def test_exponent_theta_exits_5(capsys, tmp_path):
+    code = run_cli(
+        "best-approx", "--theta", "1e-5000,1/3", "--bound", "4",
+        "--out", str(tmp_path / "s.txt"),
+    )
+    assert code == 5
+    assert "exponent notation" in capsys.readouterr().err
+
+
+def test_long_theta_construct_and_verify(tmp_path, capsys):
+    # 1500-digit truncations: the verify score has over 4300 digits, past
+    # the interpreter's default int/str conversion limit
+    digits = 1500
+    t1, t2 = (
+        "0." + str(isqrt(n * 10 ** (2 * digits)) - 10**digits).zfill(digits)
+        for n in (2, 3)
+    )
+    out = tmp_path / "run"
+    code = run_cli(
+        "construct", "--theta", f"{t1},{t2}", "--theta-error", f"1/{10**digits}",
+        "--R", "4", "--depth", "1", "--out", str(out),
+    )
+    assert code == 0
+    assert run_cli("verify", str(out / "certificate.json"), "--Q", "100") == 0
+    capsys.readouterr()
+    text = (out / "certificate.verified.json").read_text()
+    assert len(text) > 4300
+    assert certificate_json(parse_certificate(text)) == text
 
 
 def test_degenerate_rational_theta_exits_2(capsys, tmp_path):
@@ -124,6 +155,35 @@ def test_verify_smoke_Q1(small_run, capsys):
     d1 = dist_to_nearest_int(theta.theta1 - cert.eta[0])
     d2 = dist_to_nearest_int(theta.theta2 - cert.eta[1])
     assert stamped.bad_theta_score_at_Q == (1, max(d1, d2) ** 3)
+
+
+def test_verify_trace_and_out(small_run, tmp_path, capsys):
+    cert_path = tmp_path / "certificate.json"
+    cert_path.write_bytes((small_run / "certificate.json").read_bytes())
+    target = tmp_path / "stamped.json"
+    code = run_cli(
+        "verify", str(cert_path), "--Q", "1000", "--trace", "--out", str(target)
+    )
+    assert code == 0
+    assert target.exists()
+    assert not list(tmp_path.glob("*.verified.json"))
+    cert = parse_certificate(cert_path.read_text())
+    trace = bad_theta_score(cert.theta, cert.eta, 1000).running_min_trace
+    out = capsys.readouterr().out
+    printed = re.findall(r"theta record at q=(\d+): cubed=(\S+)", out)
+    assert printed == [(str(q), str(cubed)) for q, cubed in trace]
+
+
+def test_construct_no_survivor_exits_3(tmp_path, capsys):
+    out = tmp_path / "run"
+    code = run_cli(
+        "construct", "--catalog", "sqrt2-sqrt3", "--R", "2", "--depth", "2",
+        "--policy", "random", "--seed", "1", "--out", str(out),
+    )
+    assert code == 3
+    assert "no survivor" in capsys.readouterr().err
+    assert not (out / "journal.jsonl").exists()
+    assert not (out / "certificate.json").exists()
 
 
 def test_verify_tampered_eta_exits_2(small_run, tmp_path, capsys):
@@ -502,18 +562,21 @@ def _final_first(journal):
 # break the record order that parse_journal checks; a reformatted line
 # parses and only the byte-prefix compare rejects it.
 EDITED = {
-    "extra-level": (_extra_level, ["journal line 6 follows the final record"]),
+    "extra-level": (
+        _extra_level,
+        ["journal line 6: found a 'level' record, expected the end of the journal"],
+    ),
     "second-final": (
         lambda j: j + j.splitlines()[-1] + "\n",
-        ["journal line 6 follows the final record"],
+        ["journal line 6: found a 'final' record, expected the end of the journal"],
     ),
     "final-before-levels": (
         _final_first,
-        ["journal line 2 is a final record after 0 of 3 levels"],
+        ["journal line 2: found a 'final' record, expected a 'level' record"],
     ),
     "lowered-depth": (
         lambda j: j.replace('"depth":3,', '"depth":2,', 1),
-        ["journal line 4 is a level beyond the depth 2"],
+        ["journal line 4: found a 'level' record, expected a 'final' record"],
     ),
     "reformatted-level": (
         _reformatted_level,
@@ -569,7 +632,7 @@ def test_crosscheck_reports_scan_divergence(capsys, monkeypatch):
     out = capsys.readouterr().out
     assert code == 2
     assert "scan oracle: theta Q=10000 homogeneous: equal" in out
-    assert "scan oracle: theta Q=10000 inhomogeneous: DIVERGENCE at trace entry" in out
+    assert "scan oracle: theta Q=10000 inhomogeneous: DIVERGENCE at entry" in out
     assert "crosscheck FAILED" in out
 
 

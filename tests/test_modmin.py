@@ -39,17 +39,6 @@ def descent_levels(*args):
     return res, levels
 
 
-def test_first_reaching_small_exhaustive():
-    # every (a, c, m, s) with m <= 13: compare against a plain scan
-    for m in range(1, 14):
-        for a in range(m):
-            for c in range(m):
-                for s in range(-1, m + 1):
-                    got = first_reaching(a, c, m, s)
-                    want = brute_first_reaching(a, c, m, s, limit=3 * m + 2)
-                    assert got == want, (a, c, m, s)
-
-
 def test_first_reaching_limit_small_exhaustive():
     # every (a, c, m, s) with m <= 24 and every limit in [-1, 3m]: the capped
     # kernel returns the scan's answer when it is <= limit, else None
@@ -78,7 +67,7 @@ def test_first_reaching_limit_small_exhaustive():
 )
 def test_first_reaching_limit_matches_uncapped(m, a, c, s, limit, data):
     s >>= data.draw(st.integers(min_value=0, max_value=400))
-    x = first_reaching(a, c, m, s)
+    x = first_reaching(a, c, m, s, m - 1)
     want = x if x is not None and x <= limit else None
     assert first_reaching(a, c, m, s, limit) == want
     if x is not None:
@@ -94,7 +83,7 @@ def test_first_reaching_limit_liouville_modulus_stops_early():
     a = sum(10 ** (720 - e) for e in (1, 2, 6, 24, 120, 720))
     c = a % m  # x = 0 is not a trivial witness: this searches a*(x+1)
     s = 10**10
-    full, full_levels = descent_levels(a, c, m, s)
+    full, full_levels = descent_levels(a, c, m, s, m - 1)
     assert full is not None and full > 10**700
     assert full_levels > 30
     for limit in (0, 1, 10, 1000, 2**64):
@@ -113,7 +102,7 @@ def test_first_reaching_limit_liouville_modulus_stops_early():
     s=st.integers(min_value=-2, max_value=10**6),
 )
 def test_first_reaching_matches_scan(m, a, c, s):
-    got = first_reaching(a, c, m, s)
+    got = first_reaching(a, c, m, s, m - 1)
     want = brute_first_reaching(a, c, m, s)
     if want is not None:
         assert got == want
@@ -132,7 +121,7 @@ def test_first_reaching_matches_scan(m, a, c, s):
     s=st.integers(min_value=0, max_value=10**9),
 )
 def test_first_reaching_is_minimal_witness(m, a, c, s):
-    x = first_reaching(a, c, m, s)
+    x = first_reaching(a, c, m, s, m - 1)
     if x is None:
         # no witness below a generous horizon either
         assert brute_first_reaching(a, c, m, s, limit=2000) is None
@@ -148,7 +137,7 @@ def test_first_reaching_huge_modulus():
     # shift by one step so x = 0 is not a trivial witness: search x >= 1
     m = 10**51
     a = 414213562373095048801688724209698078569671875376948
-    u = first_reaching(a, a % m, m, 10**40)
+    u = first_reaching(a, a % m, m, 10**40, m - 1)
     assert u is not None
     x = u + 1
     assert x > 1
@@ -169,7 +158,7 @@ def test_first_reaching_huge_modulus():
     ],
 )
 def test_first_reaching_pinned(a, c, m, s, expect):
-    assert first_reaching(a, c, m, s) == expect
+    assert first_reaching(a, c, m, s, m - 1) == expect
 
 
 def test_icbrt_small_exhaustive():

@@ -33,6 +33,13 @@ def test_parse_forms():
         parse_rational("abc")
 
 
+def test_parse_rejects_exponent_notation():
+    # a short exponent string would build an integer of any size
+    for text in ("1e-5", "1E5", "0.5e1"):
+        with pytest.raises(ConfigError):
+            parse_rational(text)
+
+
 def test_format_canonical():
     assert format_rational(Q(2, 4)) == "1/2"
     assert format_rational(Q(-3)) == "-3/1"

@@ -14,7 +14,7 @@ from badsieve.bestapprox import (
     enumerate_best_approx,
 )
 from badsieve.catalog import get_entry
-from badsieve.errors import ConfigError, IncompleteSequence
+from badsieve.errors import ConfigError, IncompleteSequence, NoBaseFound
 from badsieve.journal import (
     certificate_json,
     journal_text,
@@ -246,8 +246,6 @@ def test_gap_condition_examples():
     B = Rectangle(Fraction(0), Fraction(0), 0)
     # Type1 (1,0): strips 1 apart, footprint ~ 5/512, rect width 1/64
     assert gap_condition(B, fake_vec(1, 0), cfg)
-    # Type2 with m2 = 0 never holds (no strip spacing along x2)
-    assert not gap_condition(B, SimpleNamespace(m1=1, m2=0, kind=2), cfg)
     # huge coefficient: strips 1/4096 apart, narrower than the rect
     assert not gap_condition(B, fake_vec(4096, 1), cfg)
 
@@ -331,6 +329,16 @@ def test_select_base_skips_struck_corners():
     seq = fabricated_seq(theta, [(1, 0), (0, 1), (1, 1), (-1, 1)])
     base = select_base(cfg, seq)
     assert (base.b1, base.b2) == (Fraction(1, 8), Fraction(3, 8))
+
+
+def test_select_base_no_base_found():
+    # a unit-height constraint (4, 0), fabricated: its strips every 1/4 in
+    # x1 strike every corner of the 1/8 grid
+    cfg = SieveConfig(R=2, depth=1)
+    seq = fabricated_seq(SQRT_PAIR, [(4, 0)])
+    unit = dataclasses.replace(seq.vectors[0], height_sq=1)
+    with pytest.raises(NoBaseFound):
+        select_base(cfg, dataclasses.replace(seq, vectors=(unit,)))
 
 
 def test_select_base_needs_unit_completeness():
