@@ -13,8 +13,9 @@ height <= h and zeta <= s/D are the points of the 3-D lattice
 {(m1, m2, z)} in the box |m1| <= h, |m2| <= isqrt(h), |z| <= s. One exact
 box query lists them: scale the columns so the box fits a cube, reduce the
 basis with integral LLL (warm-started from the previous query's basis),
-list the cube's circumscribed ball by Fincke-Pohst enumeration in
-integers, and filter the box exactly.
+bound each lattice coordinate over the box by Cramer's rule (the adjugate
+of the reduced basis), list that integer parallelepiped and filter the box
+exactly.
 
 After a record (h0, z0) every class in the box with s = z0 - 1 lies above
 h0, so the next record is the least-height class in the first non-empty
@@ -99,12 +100,12 @@ class BestApproxSequence:
             prev = v
 
 
-def _lll(b: list[list[int]]) -> tuple[list[int], list[list[int]]]:
+def _lll(b: list[list[int]]) -> None:
     """Reduce the independent integer rows b in place: integral LLL (Cohen,
     A Course in Computational Algebraic Number Theory, Alg. 2.6.7) with
-    delta = 99/100. Returns (d, lam), all integers: d[i] is the Gram
-    determinant of the first i rows (d[0] = 1) and lam[k][j] = d[j+1] *
-    mu[k][j] are the scaled Gram-Schmidt coefficients of the result."""
+    delta = 99/100. d[i] is the Gram determinant of the first i rows
+    (d[0] = 1) and lam[k][j] = d[j+1] * mu[k][j] are the scaled
+    Gram-Schmidt coefficients, all integers."""
     n = len(b)
     d = [1, sum(x * x for x in b[0])] + [0] * (n - 1)
     lam = [[0] * n for _ in range(n)]
@@ -146,39 +147,11 @@ def _lll(b: list[list[int]]) -> tuple[list[int], list[list[int]]]:
             for l in range(k - 2, -1, -1):
                 size_reduce(k, l)
             k += 1
-    return d, lam
 
 
-def _ball(b: list[list[int]], d: list[int], lam: list[list[int]], r2: int):
-    """One of x and -x for every nonzero x = sum u[k] * b[k] with
-    |x|^2 <= r2, by Fincke-Pohst enumeration over the Gram-Schmidt data
-    (d, lam) of _lll, in integers.
-
-    With y_i = d[i+1]*u[i] + sum_{k>i} lam[k][i]*u[k], the norm is
-    |x|^2 = sum_i y_i^2 / (d[i]*d[i+1]). Each level keeps what is left of r2
-    as an exact fraction budget/scale, so |y_i| <= isqrt of the floor of
-    (budget/scale)*d[i]*d[i+1] bounds u[i] exactly. The last nonzero u[k]
-    is taken positive."""
-    n = len(b)
-    u = [0] * n
-    out = []
-
-    def walk(i: int, budget: int, scale: int, zero_above: bool) -> None:
-        if i < 0:
-            if not zero_above:
-                out.append([sum(uk * row[j] for uk, row in zip(u, b)) for j in range(n)])
-            return
-        c = sum(lam[k][i] * u[k] for k in range(i + 1, n))
-        den = d[i] * d[i + 1]
-        w = isqrt(budget * den // scale)
-        lo = 0 if zero_above else -((w + c) // d[i + 1])
-        for ui in range(lo, (w - c) // d[i + 1] + 1):
-            y = d[i + 1] * ui + c
-            u[i] = ui
-            walk(i - 1, budget * den - y * y * scale, scale * den, zero_above and not ui)
-
-    walk(n - 1, r2, 1, True)
-    return out
+def _cross(p: list[int], q: list[int]) -> tuple[int, int, int]:
+    return (p[1] * q[2] - p[2] * q[1], p[2] * q[0] - p[0] * q[2],
+            p[0] * q[1] - p[1] * q[0])
 
 
 def _box(basis: list[list[int]], h: int, s: int) -> set[tuple[int, int, int]]:
@@ -188,36 +161,48 @@ def _box(basis: list[list[int]], h: int, s: int) -> set[tuple[int, int, int]]:
     z = -D/2 (when s = D // 2 and D is even) is one class, not a tie.
 
     The columns are scaled by (g*s', h*s', h*g), g = isqrt(h), s' = max(s, 1),
-    so the box lies in the cube of half-side N = h*g*s' and so in the ball
-    of radius sqrt(3)*N, whose points are listed (one of each pair +-x) and
-    filtered exactly. basis is replaced by the reduced basis, the warm start
-    of the next query."""
+    so the box becomes a cube, and LLL reduces the scaled basis; basis is
+    replaced by the reduced (unscaled) basis B, the warm start of the next
+    query. A point x = u*B has u = x*adj(B)/det(B), and the column of adj(B)
+    that gives u[i] is the cross product c of the other two rows, so in the
+    box |u[i]| <= sum_j |c[j]|*half[j] // |det B|. One of each +-u in that
+    integer parallelepiped is listed and filtered exactly; after reduction
+    in the cube's metric it held at most 37 points in any query measured up
+    to M^2 = 2^448."""
     g = isqrt(h)
     sp = max(s, 1)
     scale = (g * sp, h * sp, h * g)
     b = [[x * c for x, c in zip(row, scale)] for row in basis]
-    d, lam = _lll(b)
-    basis[:] = [[x // c for x, c in zip(row, scale)] for row in b]
-    N = h * g * sp
+    _lll(b)
+    basis[:] = b0, b1, b2 = [[x // c for x, c in zip(row, scale)] for row in b]
+    adj = [_cross(b1, b2), _cross(b2, b0), _cross(b0, b1)]  # columns of adj(B)
+    det = abs(sum(x * y for x, y in zip(b0, adj[0])))
+    U0, U1, U2 = (sum(abs(c) * w for c, w in zip(col, (h, g, s))) // det for col in adj)
     out = set()
-    for x in _ball(b, d, lam, 3 * N * N):
-        m1, m2, z = (xi // c for xi, c in zip(x, scale))
-        if (m1 or m2) and abs(m1) <= h and abs(m2) <= g and abs(z) <= s:
-            if (m1, m2) != canonical_class(m1, m2):
-                m1, m2 = -m1, -m2
-            out.add((abs(z), m1, m2))
+    for u2 in range(U2 + 1):
+        for u1 in range(-U1 if u2 else 0, U1 + 1):
+            p = [u1 * x + u2 * y for x, y in zip(b1, b2)]
+            for u0 in range(-U0 if u1 or u2 else 1, U0 + 1):
+                m1, m2, z = (u0 * x + y for x, y in zip(b0, p))
+                if (m1 or m2) and abs(m1) <= h and abs(m2) <= g and abs(z) <= s:
+                    if (m1, m2) != canonical_class(m1, m2):
+                        m1, m2 = -m1, -m2
+                    out.add((abs(z), m1, m2))
     return out
 
 
 def enumerate_best_approx(theta: ThetaForm, height_sq_max: int) -> BestApproxSequence:
     """All best approximation vectors with M^2 <= height_sq_max, exactly.
 
-    Raises DegenerateForm on an exact zeta = 0 inside the range or on a tied
-    record decision, and PrecisionExhausted when the declared truncation error
-    cannot support a record's zeta at its height (checked before that
-    record's zero and tie decision) or the last zeta at height_sq_max.
+    Raises ConfigError on a negative height_sq_max, DegenerateForm on an
+    exact zeta = 0 inside the range or on a tied record decision, and
+    PrecisionExhausted when the declared truncation error cannot support a
+    record's zeta at its height (checked before that record's zero and tie
+    decision) or the last zeta at height_sq_max.
     """
     H = height_sq_max
+    if H < 0:
+        raise ConfigError(f"negative height bound {H}")
     vectors: list[BestApproxVector] = []
     if H >= 1:
         t1, t2 = theta.theta1, theta.theta2

@@ -174,6 +174,8 @@ def brute_best_approx(theta: ThetaForm, height_sq_max: int) -> BestApproxSequenc
     order under the same strict-improvement and tie rules as the fast
     enumerator. Quadratic in the bound; keep bounds small."""
     H = height_sq_max
+    if H < 0:
+        raise ConfigError(f"negative height bound {H}")
     vectors: list[BestApproxVector] = []
     if H >= 1:
         t1, t2 = theta.theta1, theta.theta2

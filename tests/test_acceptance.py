@@ -1,5 +1,6 @@
 """The nine acceptance criteria, one test each, one PASS/FAIL line each,
-plus pins of the sequence bytes to 2^32 and 2^36 and paper-scale runs.
+plus pins of the sequence bytes to 2^32, 2^36, 2^112 and 2^448 and
+paper-scale runs.
 
 Shared fixtures keep the expensive work (enumeration to 16^8, full-depth
 runs, Q = 10^5 scans) to one pass per theta. Runtime budgets are asserted
@@ -8,6 +9,8 @@ alongside the mathematical checks.
 
 import time
 import tracemalloc
+from fractions import Fraction
+from math import isqrt
 
 import pytest
 
@@ -22,6 +25,7 @@ from badsieve.bestapprox import (
 from badsieve.catalog import catalog_names, get_entry
 from badsieve.cli import main
 from badsieve.journal import parse_certificate, parse_journal
+from badsieve.rationals import ThetaForm
 from badsieve.sieve import SieveConfig, dangerous_children, run_sieve
 from badsieve.verify import (
     bad_alpha_beta_score,
@@ -110,6 +114,33 @@ def test_sequence_fingerprints_2_36():
         seq = enumerate_best_approx(get_entry(name).theta, 2**36)
         got[name] = (sequence_fingerprint(seq), len(seq.vectors))
     assert got == FINGERPRINTS_2_36
+
+
+# Deep pins at paper height and beyond, on truncations of (sqrt2 - 1,
+# sqrt3 - 1) to `digits` decimals with declared error 10^-digits: 2^112 is
+# R = 2^14 at depth 4, 2^448 the same R at depth 16. The values were computed
+# by the earlier Fincke-Pohst ball listing of each box query.
+DEEP_FINGERPRINTS = {
+    (120, 2**112): ("sha256:7be3b2d084054d6cdb3007126e3fcf97", 124),
+    (340, 2**448): ("sha256:3127004422c2cf738f3ede93e5c8c9c4", 427),
+}
+
+
+def sqrt_pair_truncated(digits: int) -> ThetaForm:
+    S = 10**digits
+    return ThetaForm(
+        Fraction(isqrt(2 * S * S) - S, S),
+        Fraction(isqrt(3 * S * S) - S, S),
+        Fraction(1, S),
+    )
+
+
+def test_deep_sequence_fingerprints():
+    got = {}
+    for digits, H in DEEP_FINGERPRINTS:
+        seq = enumerate_best_approx(sqrt_pair_truncated(digits), H)
+        got[digits, H] = (sequence_fingerprint(seq), len(seq.vectors))
+    assert got == DEEP_FINGERPRINTS
 
 
 def test_criterion_1_oracle_equivalence():

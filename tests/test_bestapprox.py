@@ -1,11 +1,13 @@
 import pytest
 from fractions import Fraction
+from math import isqrt, lcm
 
 from hypothesis import example, given, settings, strategies as st
 
 from badsieve.bestapprox import (
     BestApproxSequence,
     BestApproxVector,
+    _box,
     audit_growth,
     audit_minkowski,
     canonical_class,
@@ -69,6 +71,66 @@ def test_bound_zero_is_empty():
     seq = enumerate_best_approx(SQRT_PAIR, 0)
     assert seq.vectors == ()
     assert brute_best_approx(SQRT_PAIR, 0).vectors == ()
+
+
+def test_negative_bound_is_config_error():
+    # both sides refuse it, so they stay equal on exception type
+    with pytest.raises(ConfigError):
+        enumerate_best_approx(SQRT_PAIR, -5)
+    with pytest.raises(ConfigError):
+        brute_best_approx(SQRT_PAIR, -5)
+
+
+def _naive_box(A1, A2, D, h, s):
+    """Every canonical class with |m1| <= h, |m2| <= isqrt(h) and a
+    representative z = A1*m1 + A2*m2 (mod D) with |z| <= s <= D // 2: only
+    r and r - D can qualify, and both do when r = D/2 = s."""
+    out = set()
+    for m2 in range(isqrt(h) + 1):
+        for m1 in range(-h if m2 else 1, h + 1):
+            r = (A1 * m1 + A2 * m2) % D
+            out.update((abs(z), m1, m2) for z in (r, r - D) if abs(z) <= s)
+    return out
+
+
+def _det3(b):
+    (a, b_, c), (d, e, f), (g, h, i) = b
+    return a * (e * i - f * h) - b_ * (d * i - f * g) + c * (d * h - e * g)
+
+
+_theta_coord = st.integers(2, 10**4).flatmap(
+    lambda q: st.builds(Fraction, st.integers(1, q - 1), st.just(q))
+)
+
+
+@settings(max_examples=50, deadline=None)
+@example(t1=Fraction(1, 2), t2=Fraction(1, 3), queries=[(200, "half", 0)])
+@example(t1=Fraction(3, 10), t2=Fraction(7, 8), queries=[(1, "half", 0), (400, "half", 0)])
+@given(
+    t1=_theta_coord,
+    t2=_theta_coord,
+    queries=st.lists(
+        st.tuples(
+            st.integers(1, 400),
+            st.sampled_from(["zero", "one", "random", "half"]),
+            st.integers(0, 10**8),
+        ),
+        min_size=1,
+        max_size=4,
+    ),
+)
+def test_box_matches_naive_listing(t1, t2, queries):
+    # several queries chained on one warm basis, as the gallop makes them;
+    # with D even, s = D // 2 reaches the class listed at both z = +-D/2
+    D = lcm(t1.denominator, t2.denominator)
+    A1 = t1.numerator * (D // t1.denominator)
+    A2 = t2.numerator * (D // t2.denominator)
+    basis = [[1, 0, A1], [0, 1, A2], [0, 0, D]]
+    for h, kind, r in queries:
+        s = {"zero": 0, "one": 1, "random": r % (D // 2 + 1), "half": D // 2}[kind]
+        assert _box(basis, h, s) == _naive_box(A1, A2, D, h, s)
+        assert all((z - A1 * m1 - A2 * m2) % D == 0 for m1, m2, z in basis)
+        assert abs(_det3(basis)) == D
 
 
 @pytest.mark.parametrize("name", ["sqrt2-sqrt3", "golden-pair", "liouville"])

@@ -116,6 +116,19 @@ def test_bound_zero_writes_empty_file(tmp_path):
     assert out.read_text() == ""
 
 
+def test_negative_bound_exits_5(tmp_path, capsys):
+    out = tmp_path / "s.txt"
+    assert (
+        run_cli(
+            "best-approx", "--catalog", "sqrt2-sqrt3", "--bound", "-5",
+            "--out", str(out),
+        )
+        == 5
+    )
+    assert "negative height bound" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_construct_requires_R_and_depth(tmp_path):
     assert (
         run_cli("construct", "--catalog", "sqrt2-sqrt3", "--out", str(tmp_path))
