@@ -1,10 +1,12 @@
 """Exact rational numerics: parsing, distance to the nearest integer, the
 weighted height, form values, and the truncation-precision guard.
 
-Everything here is exact. No floats enter or leave any public function;
-Fraction is the single number type. Decimal strings ("0.25") parse exactly,
-"p/q" strings parse exactly, and formatting always emits canonical "p/q"
-with q > 0 and gcd(p, q) = 1 (Fraction maintains that invariant for us).
+Everything here is exact. No floats enter or leave any public function,
+and Fraction is the single rational type that public functions take and
+return; inside a computation a caller may scale to integers over a common
+denominator, as the sieve does per level. Decimal strings ("0.25") parse
+exactly, "p/q" strings parse exactly, and formatting always emits canonical
+"p/q" with q > 0 and gcd(p, q) = 1 (Fraction maintains that invariant).
 """
 
 from __future__ import annotations

@@ -17,6 +17,11 @@ closed i-ranges per row, the union is merged per row, and the survivor is
 picked by a sweep over the range endpoints. Time and memory are
 O(window x strips x R) per level; the full R^3 scan exists only as an
 oracle in the verify module.
+
+Every level decision (the strip walk, the gap test, the base test) is an
+integer comparison: the rectangle's corner, its child widths and epsilon
+are put over one common denominator D, and each floor, ceil and strict
+inequality is taken of the same rational scaled by D > 0.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, floor, lcm
+from math import lcm
 
 from .bestapprox import (
     TYPE1,
@@ -39,7 +44,7 @@ from .errors import (
     NoBaseFound,
     NoSurvivor,
 )
-from .rationals import ThetaForm, form_range, theta_fingerprint, validate_precision
+from .rationals import ThetaForm, theta_fingerprint, validate_precision
 from .verify import linear_form_score
 
 POLICIES = ("lex", "random")
@@ -123,19 +128,41 @@ def child_rect(B: Rectangle, cfg: SieveConfig, i: int, j: int) -> Rectangle:
     return Rectangle(B.b1 + i * cw1, B.b2 + j * cw2, B.level + 1)
 
 
-def _strip_values(lo: Fraction, hi: Fraction, eps: Fraction) -> range:
-    """Integers c whose open strip (c-eps, c+eps) meets [lo, hi], that is
-    lo - eps < c < hi + eps."""
-    return range(floor(lo - eps) + 1, ceil(hi + eps))
+def _frame(B: Rectangle, cfg: SieveConfig) -> tuple[int, int, int, int, int, int]:
+    """B over one common denominator D: the integers (D, X1, X2, C1, C2, E)
+    with corner (X1/D, X2/D), child widths C1/D and C2/D, and epsilon E/D.
+    Every level decision compares integers in this frame, the same rationals
+    scaled by D > 0, so each floor, ceil and strict comparison is unchanged.
+    """
+    R, n = cfg.R, B.level
+    b1, b2 = B.b1, B.b2
+    D = lcm(b1.denominator, b2.denominator, R ** (5 + 2 * n))
+    return (
+        D,
+        b1.numerator * (D // b1.denominator),
+        b2.numerator * (D // b2.denominator),
+        D // R ** (5 + 2 * n),
+        D // R ** (4 + n),
+        D // R**4,
+    )
+
+
+def _strips(f00: int, step: int, rise: int, D: int, E: int, R: int) -> range:
+    """Integers c whose open strip (c-eps, c+eps) meets the closed form range
+    over B, all in frame units: the form is f00 at B's corner and moves by
+    step per child along i and by rise per child along j. The range is
+    [lo, hi] and c qualifies when lo - E < c*D < hi + E."""
+    lo = f00 + R * R * min(step, 0) + R * min(rise, 0)
+    hi = f00 + R * R * max(step, 0) + R * max(rise, 0)
+    return range((lo - E) // D + 1, -((-hi - E) // D))
 
 
 def rect_clear(B: Rectangle, v, cfg: SieveConfig) -> bool:
     """True when the closed form-value range of v over B avoids every open
     strip, i.e. the whole rectangle keeps ||eta . m|| >= eps with equality
     possible only on the boundary."""
-    w1, w2 = B.widths(cfg)
-    lo, hi = form_range(v.m1, v.m2, B.b1, B.b2, w1, w2)
-    return not _strip_values(lo, hi, cfg.epsilon)
+    D, X1, X2, C1, C2, E = _frame(B, cfg)
+    return not _strips(v.m1 * X1 + v.m2 * X2, v.m1 * C1, v.m2 * C2, D, E, cfg.R)
 
 
 def merge_ranges(ranges: list[tuple[int, int]]) -> list[tuple[int, int]]:
@@ -168,40 +195,34 @@ def dangerous_children(B: Rectangle, v, cfg: SieveConfig) -> KillRows:
     R = cfg.R
     last = R * R - 1
     m1, m2 = v.m1, v.m2
-    w1, w2 = B.widths(cfg)
-    cw1 = w1 / (R * R)
-    cw2 = w2 / R
-    eps = cfg.epsilon
-    lo, hi = form_range(m1, m2, B.b1, B.b2, w1, w2)
-    # child (i,j) spans [f_ij + negpart, f_ij + pospart] where f_ij is the
-    # form value at its lower-left corner
-    negpart = min(m1, 0) * cw1 + min(m2, 0) * cw2
-    pospart = max(m1, 0) * cw1 + max(m2, 0) * cw2
-    f00 = m1 * B.b1 + m2 * B.b2
-    step = m1 * cw1
-    rise = m2 * cw2  # f_ij - f_i0 = j * rise
+    D, X1, X2, C1, C2, E = _frame(B, cfg)
+    # child (i,j) spans [f_ij + neg, f_ij + pos] where f_ij = f00 + i*step
+    # + j*rise is the form value at its lower-left corner
+    f00 = m1 * X1 + m2 * X2
+    step = m1 * C1
+    rise = m2 * C2
+    neg = min(step, 0) + min(rise, 0)
+    pos = max(step, 0) + max(rise, 0)
+    den = abs(step)
     rows: KillRows = {}
-    for c in _strip_values(lo, hi, eps):
-        # dangerous for this c  <=>  c - eps - pospart < f_ij < c + eps - negpart
-        f_lo = c - eps - pospart
-        f_hi = c + eps - negpart
+    for c in _strips(f00, step, rise, D, E, R):
+        # dangerous for this c  <=>  c - eps - pos < f_ij < c + eps - neg
+        f_lo = c * D - E - pos
+        f_hi = c * D + E - neg
         if m1 == 0:
             for j in range(R):
                 if f_lo < f00 + j * rise < f_hi:
                     rows.setdefault(j, []).append((0, last))
             continue
-        # row j kills the integers i strictly between a - j*d and b - j*d;
-        # over a common denominator den both ends are integers over den
-        a, b = (f_lo - f00) / step, (f_hi - f00) / step
-        if step < 0:
-            a, b = b, a
-        d = rise / step
-        den = lcm(a.denominator, b.denominator, d.denominator)
-        na = a.numerator * (den // a.denominator)
-        nb = b.numerator * (den // b.denominator)
-        nd = d.numerator * (den // d.denominator)
+        # row j kills the integers i strictly between (na - j*nd)/den and
+        # (nb - j*nd)/den
+        if step > 0:
+            na, nb, nd = f_lo - f00, f_hi - f00, rise
+        else:
+            na, nb, nd = f00 - f_hi, f00 - f_lo, -rise
         for j in range(R):
-            # floor(a_j) + 1 and ceil(b_j) - 1, clipped to the row
+            # floor of the lower end + 1 and ceil of the upper end - 1,
+            # clipped to the row
             i_min = max((na - j * nd) // den + 1, 0)
             i_max = min(-((j * nd - nb) // den) - 1, last)
             if i_min <= i_max:
@@ -214,20 +235,19 @@ def gap_condition(B: Rectangle, v, cfg: SieveConfig) -> bool:
     relative to this rectangle, that any fixed row (Type1) or column (Type2)
     can meet at most one strip. Recorded per vector per level; the supporting
     asymptotic bounds only promise it for large R, so it is measured, never
-    assumed."""
+    assumed.
+
+    Type1: strips cut the x1 axis every 1/|m1|; the footprint is widened by
+    the child size and the slope |m2|/|m1| sweeping across one row, and
+    1/|m1| - 2 (eps/|m1| + cw1 + (|m2|/|m1|) cw2) > w1 must hold. Type2 swaps
+    the axes. Both are multiplied through by |m| D > 0."""
     R = cfg.R
-    w1, w2 = B.widths(cfg)
-    cw1 = w1 / (R * R)
-    cw2 = w2 / R
-    eps = cfg.epsilon
+    D, _, _, C1, C2, E = _frame(B, cfg)
     a1, a2 = abs(v.m1), abs(v.m2)
+    slack = D - 2 * (E + a1 * C1 + a2 * C2)
     if v.kind == TYPE1:
-        # strips cut the x1 axis every 1/|m1|; footprint widened by the
-        # child size and the slope k = |m2|/|m1| sweeping across one row
-        width = 2 * (eps / a1 + cw1 + Fraction(a2, a1) * cw2)
-        return Fraction(1, a1) - width > w1
-    width = 2 * (eps / a2 + cw2 + Fraction(a1, a2) * cw1)
-    return Fraction(1, a2) - width > w2
+        return slack > a1 * R * R * C1
+    return slack > a2 * R * C2
 
 
 def select_base(cfg: SieveConfig, seq: BestApproxSequence) -> Rectangle:
@@ -357,7 +377,7 @@ def sieve_step(
             )
         )
         for j, ranges in rows.items():
-            union[j] = union.get(j, []) + ranges
+            union.setdefault(j, []).extend(ranges)
     union = {j: merge_ranges(r) for j, r in union.items()}
     union_kills = _count_covered(union)
     stats = DangerStats(tuple(marks), union_kills, R**3 - union_kills)

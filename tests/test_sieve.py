@@ -3,6 +3,7 @@ import random
 
 import pytest
 from fractions import Fraction
+from hypothesis import assume, example, given, settings, strategies as st
 from math import ceil, floor
 from types import SimpleNamespace
 
@@ -156,6 +157,92 @@ def test_strip_walk_matches_grid_oracle(m1, m2):
         )
 
 
+@st.composite
+def lattice_rects(draw):
+    """(cfg, B): a level 0-2 rectangle reached by descending from a corner on
+    the base grid (i/(4R), j/(4R)) through random children, so its corner
+    lies on the level's child lattice. Odd R makes that lattice carry the 4
+    of 4R."""
+    R = draw(st.integers(2, 7))
+    cfg = SieveConfig(R=R, depth=3)
+    g = Fraction(1, 4 * R)
+    B = Rectangle(
+        draw(st.integers(1, 4 * R - 1)) * g, draw(st.integers(1, 4 * R - 1)) * g, 0
+    )
+    for _ in range(draw(st.integers(0, 2))):
+        B = child_rect(
+            B, cfg, draw(st.integers(0, R * R - 1)), draw(st.integers(0, R - 1))
+        )
+    return cfg, B
+
+
+@st.composite
+def rects_and_vectors(draw):
+    """(cfg, B, v) with |m1| <= 40 R^(3+2n) and |m2| <= 3 R^(3+n), so that
+    v meets up to about 40 strips across B. Magnitudes are drawn on a log
+    scale: near the top of the range every child is killed, and the row
+    offsets only show with a few strips; either coordinate may be 0."""
+    cfg, B = draw(lattice_rects())
+    R, n = cfg.R, B.level
+
+    def coordinate(bound):
+        top = min(bound, 2 ** draw(st.integers(0, bound.bit_length())))
+        return draw(st.integers(-top, top))
+
+    m1 = coordinate(40 * R ** (3 + 2 * n))
+    m2 = coordinate(3 * R ** (3 + n))
+    assume((m1, m2) != (0, 0))
+    return cfg, B, fake_vec(m1, m2)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=rects_and_vectors())
+# odd R with the 4 of 4R in one corner coordinate's denominator only
+@example(
+    case=(
+        SieveConfig(R=3, depth=3),
+        Rectangle(Fraction(1, 12), Fraction(1, 3), 0),
+        fake_vec(7, 2),
+    )
+)
+@example(
+    case=(
+        SieveConfig(R=5, depth=3),
+        Rectangle(Fraction(2, 5), Fraction(3, 20), 0),
+        fake_vec(-3, 4),
+    )
+)
+def test_strip_walk_matches_grid_oracle_any_shape(case):
+    cfg, B, v = case
+    assert dangerous_children(B, v, cfg) == grid_dangerous_children(B, v, cfg)
+
+
+def test_strip_walk_open_endpoints():
+    # B's corners put the lowest child edge on the c = 0 strip's upper end
+    # eps, or the highest child edge on the c = 1 strip's lower end 1 - eps:
+    # closed ranges touching an open strip survive
+    cfg = SieveConfig(R=4, depth=1)
+    eps = cfg.epsilon
+    w1, w2 = Rectangle(Fraction(0), Fraction(0), 0).widths(cfg)
+    cw1, cw2 = w1 / 16, w2 / 4
+    for B in (
+        Rectangle(eps, eps, 0),
+        Rectangle(1 - eps - w1, 1 - eps - w2, 0),
+        Rectangle(eps, 1 - eps - w2, 0),
+        # an inner child edge on an open strip end
+        Rectangle(eps - cw1, eps - cw2, 0),
+        Rectangle(1 - eps - w1 + cw1, 1 - eps - w2 + cw2, 0),
+    ):
+        for m1, m2 in [(1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1), (0, 2)]:
+            v = fake_vec(m1, m2)
+            assert dangerous_children(B, v, cfg) == grid_dangerous_children(
+                B, v, cfg
+            )
+    # the same rows one child-width further in are killed
+    B = Rectangle(eps, 1 - eps - w2 + cw2, 0)
+    assert dangerous_children(B, fake_vec(0, 1), cfg) == {3: [(0, 15)]}
+
+
 # --------------------------------------------------------- survivor pick
 
 
@@ -248,6 +335,85 @@ def test_gap_condition_examples():
     assert gap_condition(B, fake_vec(1, 0), cfg)
     # huge coefficient: strips 1/4096 apart, narrower than the rect
     assert not gap_condition(B, fake_vec(4096, 1), cfg)
+
+
+def gap_reference(B, v, cfg):
+    """gap_condition's formula in Fractions: strips cut the x1 axis every
+    1/|m1| (Type1) and must clear the rectangle's width after the footprint
+    2 (eps/|m1| + cw1 + (|m2|/|m1|) cw2) is taken off; Type2 swaps the axes."""
+    R, eps = cfg.R, cfg.epsilon
+    w1, w2 = B.widths(cfg)
+    cw1, cw2 = w1 / (R * R), w2 / R
+    a1, a2 = abs(v.m1), abs(v.m2)
+    if v.kind == 1:
+        width = 2 * (eps / a1 + cw1 + Fraction(a2, a1) * cw2)
+        return Fraction(1, a1) - width, w1
+    width = 2 * (eps / a2 + cw2 + Fraction(a1, a2) * cw1)
+    return Fraction(1, a2) - width, w2
+
+
+def rect_clear_reference(B, v, cfg):
+    """No integer c with lo - eps < c < hi + eps, for [lo, hi] the closed
+    form range of v over B."""
+    w1, w2 = B.widths(cfg)
+    lo, hi = form_range(v.m1, v.m2, B.b1, B.b2, w1, w2)
+    eps = cfg.epsilon
+    return not range(floor(lo - eps) + 1, ceil(hi + eps))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=rects_and_vectors())
+def test_gap_condition_and_rect_clear_match_fraction_reference(case):
+    cfg, B, v = case
+    room, width = gap_reference(B, v, cfg)
+    assert gap_condition(B, v, cfg) == (room > width)
+    assert rect_clear(B, v, cfg) == rect_clear_reference(B, v, cfg)
+
+
+@pytest.mark.parametrize(
+    "m1,m2,expected",
+    [
+        # R = 2, level 0: Type1 (4, 1) and Type2 (2, 3) leave exactly the
+        # rectangle's width between strips, so the strict test fails there
+        (4, 1, False), (-4, 1, False), (3, 1, True),
+        (2, 3, False), (2, -3, False), (0, 3, True),
+    ],
+)
+def test_gap_condition_strict_at_equality(m1, m2, expected):
+    cfg = SieveConfig(R=2, depth=1)
+    for B in (
+        Rectangle(Fraction(0), Fraction(0), 0),
+        Rectangle(Fraction(3, 8), Fraction(5, 8), 0),
+    ):
+        v = fake_vec(m1, m2)
+        room, width = gap_reference(B, v, cfg)
+        assert (room == width) is not expected
+        assert gap_condition(B, v, cfg) is expected
+
+
+def test_rect_clear_touches_open_strip_endpoints():
+    cfg = SieveConfig(R=4, depth=1)
+    eps = cfg.epsilon
+    w1, w2 = Rectangle(Fraction(0), Fraction(0), 0).widths(cfg)
+    cases = [
+        # (1, 0): the range's top w1 + b1 sits on the c = 1 strip's lower end
+        (Rectangle(1 - eps - w1, Fraction(1, 2), 0), fake_vec(1, 0), True),
+        (Rectangle(1 - eps - w1 + Fraction(1, 10**6), Fraction(1, 2), 0),
+         fake_vec(1, 0), False),
+        # (-1, 0): the range [-b1 - w1, -b1] tops out at the c = 0 strip's end
+        (Rectangle(eps, Fraction(1, 2), 0), fake_vec(-1, 0), True),
+        (Rectangle(eps - Fraction(1, 10**6), Fraction(1, 2), 0),
+         fake_vec(-1, 0), False),
+        # (1, -1): the range [b1 - b2 - w2, b1 - b2 + w1] bottoms out on the
+        # c = 0 strip's upper end eps
+        (Rectangle(Fraction(1, 2), Fraction(1, 2) - eps - w2, 0),
+         fake_vec(1, -1), True),
+        (Rectangle(Fraction(1, 2), Fraction(1, 2) - eps - w2 + Fraction(1, 10**6), 0),
+         fake_vec(1, -1), False),
+    ]
+    for B, v, clear in cases:
+        assert rect_clear_reference(B, v, cfg) is clear
+        assert rect_clear(B, v, cfg) is clear
 
 
 def most_strips_per_lane(B, v, cfg):
