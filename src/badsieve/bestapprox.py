@@ -12,10 +12,10 @@ is z = A1*m1 + A2*m2 + D*m0 and zeta = min |z| / D, so the classes of
 height <= h and zeta <= s/D are the points of the 3-D lattice
 {(m1, m2, z)} in the box |m1| <= h, |m2| <= isqrt(h), |z| <= s. One exact
 box query lists them: scale the columns so the box fits a cube, reduce the
-basis with integral LLL (warm-started from the previous query's basis),
-bound each lattice coordinate over the box by Cramer's rule (the adjugate
-of the reduced basis), list that integer parallelepiped and filter the box
-exactly.
+basis with the three-dimensional greedy algorithm (warm-started from the
+previous query's basis), bound each lattice coordinate over the box by
+Cramer's rule (the adjugate of the reduced basis), list that integer
+parallelepiped and filter the box exactly.
 
 After a record (h0, z0) every class in the box with s = z0 - 1 lies above
 h0, so the next record is the least-height class in the first non-empty
@@ -37,6 +37,7 @@ from .errors import ConfigError, DegenerateForm
 from .modmin import first_reaching  # noqa: F401
 from .rationals import (
     ThetaForm,
+    fingerprint,
     form_value,
     format_rational,
     validate_precision,
@@ -100,53 +101,42 @@ class BestApproxSequence:
             prev = v
 
 
-def _lll(b: list[list[int]]) -> None:
-    """Reduce the independent integer rows b in place: integral LLL (Cohen,
-    A Course in Computational Algebraic Number Theory, Alg. 2.6.7) with
-    delta = 99/100. d[i] is the Gram determinant of the first i rows
-    (d[0] = 1) and lam[k][j] = d[j+1] * mu[k][j] are the scaled
-    Gram-Schmidt coefficients, all integers."""
-    n = len(b)
-    d = [1, sum(x * x for x in b[0])] + [0] * (n - 1)
-    lam = [[0] * n for _ in range(n)]
+def _reduce(b: list[list[int]]) -> None:
+    """Reduce the three independent integer rows b in place to a Minkowski-
+    reduced basis: the greedy algorithm (Semaev 2001, Nguyen-Stehle 2009) on
+    their Gram matrix G. A pass sorts the rows by norm, then Gauss-reduces
+    row 1 by row 0 or moves row 2 to its nearest point modulo rows 0 and 1."""
+    G = [[0] * 3 for _ in range(3)]
+    for i, j in (0, 0), (1, 0), (1, 1), (2, 0), (2, 1), (2, 2):
+        G[i][j] = G[j][i] = b[i][0] * b[j][0] + b[i][1] * b[j][1] + b[i][2] * b[j][2]
 
-    def size_reduce(k: int, l: int) -> None:
-        if 2 * abs(lam[k][l]) > d[l + 1]:
-            q = (2 * lam[k][l] + d[l + 1]) // (2 * d[l + 1])
-            b[k] = [x - q * y for x, y in zip(b[k], b[l])]
-            lam[k][l] -= q * d[l + 1]
-            for i in range(l):
-                lam[k][i] -= q * lam[l][i]
+    def sub(i: int, j: int, q: int) -> None:  # row i -= q * row j
+        if q:
+            b[i] = [x - q * y for x, y in zip(b[i], b[j])]
+            G[i][i] += q * q * G[j][j] - 2 * q * G[i][j]
+            for k in {0, 1, 2} - {i}:
+                G[i][k] = G[k][i] = G[i][k] - q * G[j][k]
 
-    k, kmax = 1, 0
-    while k < n:
-        if k > kmax:
-            kmax = k
-            for j in range(k + 1):
-                u = sum(x * y for x, y in zip(b[k], b[j]))
-                for i in range(j):
-                    u = (d[i + 1] * u - lam[k][i] * lam[j][i]) // d[i]
-                if j < k:
-                    lam[k][j] = u
-                else:
-                    d[k + 1] = u
-        size_reduce(k, k - 1)
-        t = lam[k][k - 1]
-        if 100 * d[k + 1] * d[k - 1] < 99 * d[k] ** 2 - 100 * t * t:
-            b[k], b[k - 1] = b[k - 1], b[k]
-            for j in range(k - 1):
-                lam[k][j], lam[k - 1][j] = lam[k - 1][j], lam[k][j]
-            B = (d[k - 1] * d[k + 1] + t * t) // d[k]
-            for i in range(k + 1, kmax + 1):
-                v = lam[i][k]
-                lam[i][k] = (d[k + 1] * lam[i][k - 1] - t * v) // d[k]
-                lam[i][k - 1] = (B * v + t * lam[i][k]) // d[k + 1]
-            d[k] = B
-            k = max(1, k - 1)
-        else:
-            for l in range(k - 2, -1, -1):
-                size_reduce(k, l)
-            k += 1
+    while True:
+        order = sorted(range(3), key=lambda i: G[i][i])
+        b[:] = [b[i] for i in order]
+        G[:] = [[G[i][j] for j in order] for i in order]
+        if 2 * abs(G[1][0]) > G[0][0]:
+            sub(1, 0, (2 * G[1][0] + G[0][0]) // (2 * G[0][0]))
+            continue
+        det = G[0][0] * G[1][1] - G[0][1] ** 2
+        c0 = G[1][1] * G[2][0] - G[0][1] * G[2][1]
+        c1 = G[0][0] * G[2][1] - G[0][1] * G[2][0]
+        sub(2, 0, (2 * c0 + det) // (2 * det))
+        sub(2, 1, (2 * c1 + det) // (2 * det))
+        e0 = {0: 0, 1: G[0][0] + 2 * G[2][0], -1: G[0][0] - 2 * G[2][0]}
+        e1 = {0: 0, 1: G[1][1] + 2 * G[2][1], -1: G[1][1] - 2 * G[2][1]}
+        _, s0, s1 = min((e0[s0] + e1[s1] + 2 * s0 * s1 * G[0][1], s0, s1)
+                        for s0 in (-1, 0, 1) for s1 in (-1, 0, 1))
+        sub(2, 0, -s0)
+        sub(2, 1, -s1)
+        if G[2][2] >= G[1][1]:  # else row 2 got shorter and the norm sum fell
+            return
 
 
 def _cross(p: list[int], q: list[int]) -> tuple[int, int, int]:
@@ -161,11 +151,12 @@ def _box(basis: list[list[int]], h: int, s: int) -> set[tuple[int, int, int]]:
     z = -D/2 (when s = D // 2 and D is even) is one class, not a tie.
 
     The columns are scaled by (g*s', h*s', h*g), g = isqrt(h), s' = max(s, 1),
-    so the box becomes a cube, and LLL reduces the scaled basis; basis is
-    replaced by the reduced (unscaled) basis B, the warm start of the next
-    query. A point x = u*B has u = x*adj(B)/det(B), and the column of adj(B)
-    that gives u[i] is the cross product c of the other two rows, so in the
-    box |u[i]| <= sum_j |c[j]|*half[j] // |det B|. One of each +-u in that
+    so the box becomes a cube, and the greedy algorithm (_reduce) reduces
+    the scaled basis; basis is replaced by the reduced (unscaled) basis B,
+    the warm start of the next query. A point x = u*B has
+    u = x*adj(B)/det(B), and the column of adj(B) that gives u[i] is the
+    cross product c of the other two rows, so in the box
+    |u[i]| <= sum_j |c[j]|*half[j] // |det B|. One of each +-u in that
     integer parallelepiped is listed and filtered exactly; after reduction
     in the cube's metric it held at most 37 points in any query measured up
     to M^2 = 2^448."""
@@ -173,7 +164,7 @@ def _box(basis: list[list[int]], h: int, s: int) -> set[tuple[int, int, int]]:
     sp = max(s, 1)
     scale = (g * sp, h * sp, h * g)
     b = [[x * c for x, c in zip(row, scale)] for row in basis]
-    _lll(b)
+    _reduce(b)
     basis[:] = b0, b1, b2 = [[x // c for x, c in zip(row, scale)] for row in b]
     adj = [_cross(b1, b2), _cross(b2, b0), _cross(b0, b1)]  # columns of adj(B)
     det = abs(sum(x * y for x, y in zip(b0, adj[0])))
@@ -291,10 +282,8 @@ def audit_growth(seq: BestApproxSequence, step: int = 28) -> list[tuple[str, int
 
 def sequence_fingerprint(seq: BestApproxSequence) -> str:
     """Identity of a sequence's exact content and completeness bound."""
-    import hashlib
-
     text = f"height_sq_max={seq.height_sq_max}\n" + export_sequence_lines(seq)
-    return "sha256:" + hashlib.sha256(text.encode()).hexdigest()[:32]
+    return fingerprint(text)
 
 
 def export_sequence_lines(seq: BestApproxSequence) -> str:

@@ -38,7 +38,7 @@ from .journal import (
     parse_journal,
 )
 from .rationals import ThetaForm, parse_rational, theta_fingerprint
-from .sieve import SieveConfig, dangerous_children, run_sieve
+from .sieve import POLICIES, SieveConfig, dangerous_children, run_sieve
 from .verify import (
     bad_alpha_beta_score,
     bad_theta_score,
@@ -121,7 +121,7 @@ def build_parser() -> _Parser:
     _add_theta_flags(p)
     p.add_argument("--R", type=int)
     p.add_argument("--depth", type=int)
-    p.add_argument("--policy", choices=("lex", "random"))
+    p.add_argument("--policy", choices=POLICIES)
     p.add_argument("--seed", type=int)
     p.add_argument("--out", default=".", help="directory for journal + certificate")
     p.add_argument("--resume", help="earlier journal this run's journal must extend")
@@ -139,8 +139,6 @@ def build_parser() -> _Parser:
     p.add_argument("--bound", type=int, default=3600)
     p.add_argument("--R", type=int, default=8)
     p.add_argument("--depth", type=int, default=3)
-    p.add_argument("--policy", choices=("lex", "random"), default="lex")
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_crosscheck)
 
     p = sub.add_parser("catalog", help="built-in theta pairs")
@@ -226,9 +224,8 @@ def cmd_construct(args) -> int:
 
     seq = enumerate_best_approx(theta, cfg.height_sq_bound())
     print(f"theta {theta_fingerprint(theta)}")
-    print(f"sequence {sequence_fingerprint(seq)}  vectors {len(seq.vectors)}")
-
     cert, journal = run_sieve(theta, cfg, seq)
+    print(f"sequence {cert.sequence_fp}  vectors {len(seq.vectors)}")
     text = journal_text(journal)
     if old is not None:
         check_resume_prefix(old, text)
@@ -331,7 +328,7 @@ def cmd_crosscheck(args) -> int:
                 f"{_divergence(fast.vectors, slow.vectors)}"
             )
 
-    cfg = SieveConfig(R=args.R, depth=args.depth, policy=args.policy, seed=args.seed)
+    cfg = SieveConfig(R=args.R, depth=args.depth)
     for name, theta in pairs:
         seq = enumerate_best_approx(theta, cfg.height_sq_bound())
         cert, journal = run_sieve(theta, cfg, seq)

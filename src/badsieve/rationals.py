@@ -11,6 +11,7 @@ exactly, "p/q" strings parse exactly, and formatting always emits canonical
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
@@ -127,14 +128,17 @@ def validate_precision(theta: ThetaForm, height_sq_max: int, zeta_min: Fraction)
     )
 
 
+def fingerprint(text: str) -> str:
+    """The fingerprint format shared by every file: a truncated SHA-256."""
+    return "sha256:" + hashlib.sha256(text.encode()).hexdigest()[:32]
+
+
 def theta_fingerprint(theta: ThetaForm) -> str:
     """Stable identity for a coefficient pair, used to tie files together."""
-    import hashlib
-
     text = "|".join(
         format_rational(x) for x in (theta.theta1, theta.theta2, theta.declared_error)
     )
-    return "sha256:" + hashlib.sha256(text.encode()).hexdigest()[:32]
+    return fingerprint(text)
 
 
 def form_range(m1: int, m2: int, b1, b2, w1, w2):

@@ -328,7 +328,8 @@ def kth_survivor(rows: KillRows, R: int, k: int) -> tuple[int, int]:
     A sweep over the range endpoints: between consecutive endpoints every
     column i is covered by the same number of rows, so it keeps the same
     number of survivors and whole blocks of columns are skipped at once.
-    Only the target column is resolved row by row."""
+    In the target column the k-th free row is found by stepping over the
+    covered rows in increasing order; only rows that hold ranges are read."""
     delta: dict[int, int] = {R * R: 0}
     for ranges in rows.values():
         for lo, hi in ranges:
@@ -340,12 +341,11 @@ def kth_survivor(rows: KillRows, R: int, k: int) -> tuple[int, int]:
         block = (x - start) * per_column
         if k < block:
             i = start + k // per_column
-            r = k % per_column
-            for j in range(R):
-                if not any(lo <= i <= hi for lo, hi in rows.get(j, ())):
-                    if r == 0:
-                        return i, j
-                    r -= 1
+            j = k % per_column
+            for c in sorted(c for c, ranges in rows.items()
+                            if any(lo <= i <= hi for lo, hi in ranges)):
+                j += c <= j
+            return i, j
         k -= block
         cover += delta[x]
         start = x

@@ -1,3 +1,6 @@
+import random
+import signal
+
 import pytest
 from fractions import Fraction
 from math import isqrt, lcm
@@ -8,6 +11,7 @@ from badsieve.bestapprox import (
     BestApproxSequence,
     BestApproxVector,
     _box,
+    _reduce,
     audit_growth,
     audit_minkowski,
     canonical_class,
@@ -96,6 +100,86 @@ def _naive_box(A1, A2, D, h, s):
 def _det3(b):
     (a, b_, c), (d, e, f), (g, h, i) = b
     return a * (e * i - f * h) - b_ * (d * i - f * g) + c * (d * h - e * g)
+
+
+def _gram(b):
+    return [[sum(x * y for x, y in zip(p, q)) for q in b] for p in b]
+
+
+def _assert_reduced(b0, b):
+    """b spans the lattice of b0 and is greedy-reduced: norms sorted, rows
+    0 and 1 Gauss-reduced, and no row2 + s0*row0 + s1*row1 shorter."""
+    det = _det3(b0)
+    assert abs(_det3(b)) == abs(det)
+    # row = u * b0 with u = row * adj(b0) / det integral; the columns of
+    # adj(b0) are the cross products of b0's rows
+    adj = [
+        [p[1] * q[2] - p[2] * q[1], p[2] * q[0] - p[0] * q[2],
+         p[0] * q[1] - p[1] * q[0]]
+        for p, q in ((b0[1], b0[2]), (b0[2], b0[0]), (b0[0], b0[1]))
+    ]
+    for row in b:
+        assert all(sum(x * c for x, c in zip(row, col)) % det == 0 for col in adj)
+    G = _gram(b)
+    assert G[0][0] <= G[1][1] <= G[2][2]
+    assert 2 * abs(G[0][1]) <= G[0][0]
+    for s0 in (-1, 0, 1):
+        for s1 in (-1, 0, 1):
+            w = [z + s0 * x + s1 * y for x, y, z in zip(*b)]
+            assert sum(x * x for x in w) >= G[2][2]
+
+
+@pytest.fixture
+def terminates():
+    """Fail, instead of hanging, when a reduction stops making progress."""
+    def expire(signum, frame):
+        raise TimeoutError("reduction did not terminate within 60 s")
+
+    if not hasattr(signal, "SIGALRM"):
+        yield
+        return
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+
+
+def test_reduce_random_bases(terminates):
+    rng = random.Random("reduce")
+    cases = 0
+    while cases < 300:
+        bits = rng.randrange(4, 201)
+        b0 = [[rng.randrange(-(2**bits), 2**bits + 1) for _ in range(3)]
+              for _ in range(3)]
+        if _det3(b0) == 0:
+            continue
+        b = [row[:] for row in b0]
+        _reduce(b)
+        _assert_reduced(b0, b)
+        cases += 1
+
+
+def test_reduce_enumerator_bases(terminates):
+    # the box query's input: rows [1, 0, A1], [0, 1, A2], [0, 0, D] with
+    # columns scaled by (g*s, h*s, h*g), reduced, unscaled and rescaled at a
+    # larger height as the gallop does
+    rng = random.Random("reduce-box")
+    for _ in range(60):
+        D = rng.randrange(2, 10 ** rng.randrange(2, 181))
+        basis = [[1, 0, rng.randrange(D)], [0, 1, rng.randrange(D)], [0, 0, D]]
+        h = 1
+        for _ in range(4):
+            h = rng.randrange(h, 4 * h + 2**rng.randrange(1, 113))
+            g, s = isqrt(h), max(1, rng.randrange(D // 2 + 1))
+            scale = (g * s, h * s, h * g)
+            b0 = [[x * c for x, c in zip(row, scale)] for row in basis]
+            b = [row[:] for row in b0]
+            _reduce(b)
+            _assert_reduced(b0, b)
+            basis = [[x // c for x, c in zip(row, scale)] for row in b]
 
 
 _theta_coord = st.integers(2, 10**4).flatmap(

@@ -291,6 +291,36 @@ def test_kth_survivor_matches_listing(R):
     assert patterns == 32
 
 
+def test_kth_survivor_rank_at_paper_scale():
+    # R = 2^14 has 2^42 children, so each pick is checked by its rank,
+    # counted from the ranges, instead of against a listing
+    R = 2**14
+    last = R * R - 1
+    rng = random.Random("pick:16384")
+    for dense in (False, True):
+        raw = {j: [(0, last)] for j in rng.sample(range(R), 3)}  # full rows
+        for j in range(R) if dense else rng.sample(range(R), 60):
+            for _ in range(rng.randrange(1, 4)):
+                lo = rng.randrange(R * R)
+                hi = min(last, lo + rng.randrange(R * R // 3))
+                raw.setdefault(j, []).append((lo, hi))
+        rows = {j: merge_ranges(r) for j, r in raw.items()}
+        survivors = R**3 - sum(hi - lo + 1 for r in rows.values() for lo, hi in r)
+        for k in [0, survivors - 1] + [rng.randrange(survivors) for _ in range(20)]:
+            i, j = kth_survivor(rows, R, k)
+            assert 0 <= i <= last and 0 <= j < R
+            assert not any(lo <= i <= hi for lo, hi in rows.get(j, ()))
+            before = sum(
+                min(hi, i - 1) - lo + 1
+                for r in rows.values() for lo, hi in r if lo < i
+            )
+            below = sum(
+                1 for c, r in rows.items()
+                if c < j and any(lo <= i <= hi for lo, hi in r)
+            )
+            assert i * R + j - before - below == k
+
+
 def test_step_pick_follows_listing_order():
     # lex takes the first survivor in i-major order, random the survivor
     # that the seeded draw over the survivor count names
