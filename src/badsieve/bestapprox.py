@@ -12,10 +12,10 @@ is z = A1*m1 + A2*m2 + D*m0 and zeta = min |z| / D, so the classes of
 height <= h and zeta <= s/D are the points of the 3-D lattice
 {(m1, m2, z)} in the box |m1| <= h, |m2| <= isqrt(h), |z| <= s. One exact
 box query lists them: scale the columns so the box fits a cube, reduce the
-basis with the three-dimensional greedy algorithm (warm-started from the
-previous query's basis), bound each lattice coordinate over the box by
-Cramer's rule (the adjugate of the reduced basis), list that integer
-parallelepiped and filter the box exactly.
+basis (Gauss steps on two rows, Babai rounding of the third, warm-started
+from the previous query's basis), bound each lattice coordinate over the
+box by Cramer's rule (the adjugate of the reduced basis), list that
+integer parallelepiped and filter the box exactly.
 
 After a record (h0, z0) every class in the box with s = z0 - 1 lies above
 h0, so the next record is the least-height class in the first non-empty
@@ -102,10 +102,10 @@ class BestApproxSequence:
 
 
 def _reduce(b: list[list[int]]) -> None:
-    """Reduce the three independent integer rows b in place to a Minkowski-
-    reduced basis: the greedy algorithm (Semaev 2001, Nguyen-Stehle 2009) on
-    their Gram matrix G. A pass sorts the rows by norm, then Gauss-reduces
-    row 1 by row 0 or moves row 2 to its nearest point modulo rows 0 and 1."""
+    """Reduce the three independent integer rows b in place on their Gram
+    matrix G. A pass sorts the rows by norm, then Gauss-reduces row 1 by row 0
+    or Babai-rounds row 2 against rows 0 and 1 (Cramer coordinates c/det).
+    On return norms are sorted, rows 0, 1 Lagrange-reduced, |2*c[i]| <= det."""
     G = [[0] * 3 for _ in range(3)]
     for i, j in (0, 0), (1, 0), (1, 1), (2, 0), (2, 1), (2, 2):
         G[i][j] = G[j][i] = b[i][0] * b[j][0] + b[i][1] * b[j][1] + b[i][2] * b[j][2]
@@ -129,12 +129,6 @@ def _reduce(b: list[list[int]]) -> None:
         c1 = G[0][0] * G[2][1] - G[0][1] * G[2][0]
         sub(2, 0, (2 * c0 + det) // (2 * det))
         sub(2, 1, (2 * c1 + det) // (2 * det))
-        e0 = {0: 0, 1: G[0][0] + 2 * G[2][0], -1: G[0][0] - 2 * G[2][0]}
-        e1 = {0: 0, 1: G[1][1] + 2 * G[2][1], -1: G[1][1] - 2 * G[2][1]}
-        _, s0, s1 = min((e0[s0] + e1[s1] + 2 * s0 * s1 * G[0][1], s0, s1)
-                        for s0 in (-1, 0, 1) for s1 in (-1, 0, 1))
-        sub(2, 0, -s0)
-        sub(2, 1, -s1)
         if G[2][2] >= G[1][1]:  # else row 2 got shorter and the norm sum fell
             return
 
@@ -151,15 +145,14 @@ def _box(basis: list[list[int]], h: int, s: int) -> set[tuple[int, int, int]]:
     z = -D/2 (when s = D // 2 and D is even) is one class, not a tie.
 
     The columns are scaled by (g*s', h*s', h*g), g = isqrt(h), s' = max(s, 1),
-    so the box becomes a cube, and the greedy algorithm (_reduce) reduces
-    the scaled basis; basis is replaced by the reduced (unscaled) basis B,
-    the warm start of the next query. A point x = u*B has
-    u = x*adj(B)/det(B), and the column of adj(B) that gives u[i] is the
-    cross product c of the other two rows, so in the box
-    |u[i]| <= sum_j |c[j]|*half[j] // |det B|. One of each +-u in that
-    integer parallelepiped is listed and filtered exactly; after reduction
-    in the cube's metric it held at most 37 points in any query measured up
-    to M^2 = 2^448."""
+    so the box becomes a cube, and _reduce reduces the scaled basis; basis
+    is replaced by the reduced (unscaled) basis B, the warm start of the
+    next query. A point x = u*B has u = x*adj(B)/det(B), and the column of
+    adj(B) that gives u[i] is the cross product c of the other two rows, so
+    in the box |u[i]| <= sum_j |c[j]|*half[j] // |det B|. One of each +-u
+    in that integer parallelepiped is listed and filtered exactly; after
+    reduction in the cube's metric it held at most 37 points in any query
+    measured up to M^2 = 2^448."""
     g = isqrt(h)
     sp = max(s, 1)
     scale = (g * sp, h * sp, h * g)

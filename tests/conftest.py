@@ -1,4 +1,40 @@
+import signal
+from fractions import Fraction
+from math import isqrt
+
+import pytest
+
+from badsieve.rationals import ThetaForm
+
+# Per-test wall-clock limit for tier-1; the slowest test takes a few seconds.
+TEST_TIME_LIMIT_S = 60
+
 ACCEPTANCE_LINES = []
+
+
+class TimeLimitExceeded(BaseException):
+    """A test ran past TEST_TIME_LIMIT_S. Not an Exception, so Hypothesis
+    does not catch it, shrink and replay the example: the test just fails."""
+
+
+def _expire(signum, frame):
+    raise TimeLimitExceeded(f"test did not finish within {TEST_TIME_LIMIT_S} s")
+
+
+@pytest.hookimpl(wrapper=True)
+def pytest_runtest_protocol(item, nextitem):
+    """Fail a hung test (setup, call or teardown) instead of stalling the
+    run. A hook rather than a fixture, so Hypothesis tests are covered
+    without its health check for function-scoped fixtures."""
+    if not hasattr(signal, "SIGALRM"):
+        return (yield)
+    old = signal.signal(signal.SIGALRM, _expire)
+    signal.alarm(TEST_TIME_LIMIT_S)
+    try:
+        return (yield)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
 
 
 def expand_rows(rows):
@@ -16,3 +52,14 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+def sqrt_pair_truncated(digits: int) -> ThetaForm:
+    """(sqrt2 - 1, sqrt3 - 1) truncated to `digits` decimals, with declared
+    error 10^-digits."""
+    S = 10**digits
+    return ThetaForm(
+        Fraction(isqrt(2 * S * S) - S, S),
+        Fraction(isqrt(3 * S * S) - S, S),
+        Fraction(1, S),
+    )

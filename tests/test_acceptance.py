@@ -9,12 +9,10 @@ alongside the mathematical checks.
 
 import time
 import tracemalloc
-from fractions import Fraction
-from math import isqrt
 
 import pytest
 
-from conftest import ACCEPTANCE_LINES, expand_rows
+from conftest import ACCEPTANCE_LINES, expand_rows, sqrt_pair_truncated
 
 from badsieve.bestapprox import (
     audit_growth,
@@ -25,7 +23,6 @@ from badsieve.bestapprox import (
 from badsieve.catalog import catalog_names, get_entry
 from badsieve.cli import main
 from badsieve.journal import parse_certificate, parse_journal
-from badsieve.rationals import ThetaForm
 from badsieve.sieve import SieveConfig, dangerous_children, run_sieve
 from badsieve.verify import (
     bad_alpha_beta_score,
@@ -124,15 +121,6 @@ DEEP_FINGERPRINTS = {
     (120, 2**112): ("sha256:7be3b2d084054d6cdb3007126e3fcf97", 124),
     (340, 2**448): ("sha256:3127004422c2cf738f3ede93e5c8c9c4", 427),
 }
-
-
-def sqrt_pair_truncated(digits: int) -> ThetaForm:
-    S = 10**digits
-    return ThetaForm(
-        Fraction(isqrt(2 * S * S) - S, S),
-        Fraction(isqrt(3 * S * S) - S, S),
-        Fraction(1, S),
-    )
 
 
 def test_deep_sequence_fingerprints():

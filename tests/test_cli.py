@@ -229,6 +229,12 @@ def _forge_height_bound(obj):
     )
 
 
+def _unreduced(text):
+    """The rational 'p/q' written as '2p/2q'."""
+    p, q = map(int, text.split("/"))
+    return f"{2 * p}/{2 * q}"
+
+
 # Certificate fields that copy what theta and config determine, forged, and
 # the text the rejection must name.
 FORGED = {
@@ -239,6 +245,8 @@ FORGED = {
         "'fingerprint'",
     ),
     "R-1": (lambda o: o["config"].update(R=1), "R must be at least 2"),
+    # the same eta, written over twice its denominator
+    "eta-unreduced": (lambda o: o["eta"].__setitem__(0, _unreduced(o["eta"][0])), "'eta'"),
     "policy-foo": (lambda o: o["config"].update(policy="foo"), "policy must be"),
 }
 
@@ -467,6 +475,10 @@ UNDERIVED = {
     "final-level": (lambda r: r[-1].update(level=99), 5, "'level'"),
     "level-1-rect": (lambda r: r[2].update(rect=["1/3", "1/3"]), 3, "'rect'"),
     "base": (lambda r: r[0].update(base=["1/7", "1/7"]), 2, "'rect'"),
+    # the same base corner, written over twice its denominators
+    "base-unreduced": (
+        lambda r: r[0].update(base=[_unreduced(x) for x in r[0]["base"]]), 1, "'base'"
+    ),
     "window1-99": (lambda r: r[1]["window1"].append(99), 2, "'window1'"),
     "windows-swapped": (_swap_windows, 2, "'window1'"),
     "theta-fingerprint": (
