@@ -11,18 +11,21 @@ Enumeration never scans the plane. Over a common denominator D the form
 is z = A1*m1 + A2*m2 + D*m0 and zeta = min |z| / D, so the classes of
 height <= h and zeta <= s/D are the points of the 3-D lattice
 {(m1, m2, z)} in the box |m1| <= h, |m2| <= isqrt(h), |z| <= s. One exact
-box query lists them: scale the columns so the box fits a cube, reduce the
-basis (Gauss steps on two rows, Babai rounding of the third, warm-started
-from the previous query's basis), bound each lattice coordinate over the
-box by Cramer's rule (the adjugate of the reduced basis), list that
-integer parallelepiped and filter the box exactly.
+box query lists them: reduce the basis in the metric in which the box is
+a cube (Gauss steps on two rows, Babai rounding of the third, on a Gram
+matrix weighted by the squared column scales, warm-started from the
+previous query's basis), bound each lattice coordinate over the box by
+Cramer's rule (the adjugate of the reduced basis), list that integer
+parallelepiped and filter the box exactly.
 
-After a record (h0, z0) every class in the box with s = z0 - 1 lies above
-h0, so the next record is the least-height class in the first non-empty
-box of a gallop h = 2*h0, 3*h0, 5*h0, ... (capped at the bound), the
-least zeta at that height. No float enters, and nothing is done per m2
-or per height: the work grows with the number of records and gallop
-steps and with the bit size of the numbers.
+After a record (h0, z0) every class with |z| <= s = z0 - 1 lies above h0,
+so the records in (h0, h] are the strict running minimum of |z| over the
+height levels of the box (h, s), in increasing height: each one found
+lowers s to its z - 1. The enumerator gallops h = 3*h0, 5*h0, 9*h0, ...
+(capped at the bound) to the first non-empty box and takes every record it
+holds. No float enters, and nothing is done per m2 or per height: the work
+grows with the number of records and gallop steps and with the bit size of
+the numbers.
 """
 
 from __future__ import annotations
@@ -32,11 +35,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt, lcm
 
-from .errors import ConfigError, DegenerateForm
+from .errors import ConfigError, DegenerateForm, PrecisionExhausted
 # unused here; the benchmark's tracer (perfbench/spans.py) wraps this name
 from .modmin import first_reaching  # noqa: F401
 from .rationals import (
     ThetaForm,
+    ceil_isqrt,
     fingerprint,
     form_value,
     format_rational,
@@ -101,14 +105,19 @@ class BestApproxSequence:
             prev = v
 
 
-def _reduce(b: list[list[int]]) -> None:
+def _reduce(b: list[list[int]], w: tuple[int, int, int]) -> None:
     """Reduce the three independent integer rows b in place on their Gram
-    matrix G. A pass sorts the rows by norm, then Gauss-reduces row 1 by row 0
-    or Babai-rounds row 2 against rows 0 and 1 (Cramer coordinates c/det).
-    On return norms are sorted, rows 0, 1 Lagrange-reduced, |2*c[i]| <= det."""
+    matrix G[i][j] = sum_k b[i][k]*b[j][k]*w[k], weighted by w. A pass sorts
+    the rows by norm, then Gauss-reduces row 1 by row 0 or Babai-rounds row 2
+    against rows 0 and 1 (Cramer coordinates c/det). The moves depend on G
+    alone, so with w the squared column scales they are the moves of the
+    column-scaled rows under unit weights. On return norms are sorted, rows
+    0, 1 Lagrange-reduced, |2*c[i]| <= det."""
+    w0, w1, w2 = w
     G = [[0] * 3 for _ in range(3)]
     for i, j in (0, 0), (1, 0), (1, 1), (2, 0), (2, 1), (2, 2):
-        G[i][j] = G[j][i] = b[i][0] * b[j][0] + b[i][1] * b[j][1] + b[i][2] * b[j][2]
+        (x0, x1, x2), (y0, y1, y2) = b[i], b[j]
+        G[i][j] = G[j][i] = x0 * y0 * w0 + x1 * y1 * w1 + x2 * y2 * w2
 
     def sub(i: int, j: int, q: int) -> None:  # row i -= q * row j
         if q:
@@ -133,46 +142,68 @@ def _reduce(b: list[list[int]]) -> None:
             return
 
 
-def _cross(p: list[int], q: list[int]) -> tuple[int, int, int]:
-    return (p[1] * q[2] - p[2] * q[1], p[2] * q[0] - p[0] * q[2],
-            p[0] * q[1] - p[1] * q[0])
-
-
 def _box(basis: list[list[int]], h: int, s: int) -> set[tuple[int, int, int]]:
     """The canonical classes (|z|, m1, m2) with |m1| <= h, |m2| <= isqrt(h),
     (m1, m2) != 0 and |z| <= s for some lattice point (m1, m2, z) spanned by
     the rows of basis. A set: a class with lattice points at z = D/2 and
     z = -D/2 (when s = D // 2 and D is even) is one class, not a tie.
 
-    The columns are scaled by (g*s', h*s', h*g), g = isqrt(h), s' = max(s, 1),
-    so the box becomes a cube, and _reduce reduces the scaled basis; basis
-    is replaced by the reduced (unscaled) basis B, the warm start of the
-    next query. A point x = u*B has u = x*adj(B)/det(B), and the column of
-    adj(B) that gives u[i] is the cross product c of the other two rows, so
-    in the box |u[i]| <= sum_j |c[j]|*half[j] // |det B|. One of each +-u
-    in that integer parallelepiped is listed and filtered exactly; after
-    reduction in the cube's metric it held at most 37 points in any query
-    measured up to M^2 = 2^448."""
+    _reduce reduces basis in place, the warm start of the next query, on the
+    Gram matrix weighted by w = ((g*s')^2, (h*s')^2, (h*g)^2), g = isqrt(h),
+    s' = max(s, 1): the metric in which the box is a cube. A point
+    x = u*B has u = x*adj(B)/det(B), and the column of adj(B) that gives
+    u[i] is the cross product of the other two rows, so in the box
+    |u[i]| <= sum_j |adj(B)[j][i]|*half[j] // |det B| with half = (h, g, s). One of each +-u in
+    that integer parallelepiped is listed and filtered exactly. It held at
+    most 37 points per query on the catalog pairs to M^2 = 2^32, 52 on
+    120-digit pairs to 2^112, 62 on 340-digit pairs to 2^448 and 67 on
+    700-digit pairs to 2^896."""
     g = isqrt(h)
     sp = max(s, 1)
-    scale = (g * sp, h * sp, h * g)
-    b = [[x * c for x, c in zip(row, scale)] for row in basis]
-    _reduce(b)
-    basis[:] = b0, b1, b2 = [[x // c for x, c in zip(row, scale)] for row in b]
-    adj = [_cross(b1, b2), _cross(b2, b0), _cross(b0, b1)]  # columns of adj(B)
-    det = abs(sum(x * y for x, y in zip(b0, adj[0])))
-    U0, U1, U2 = (sum(abs(c) * w for c, w in zip(col, (h, g, s))) // det for col in adj)
+    _reduce(basis, ((g * sp) ** 2, (h * sp) ** 2, (h * g) ** 2))
+    (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = basis
+    # the columns of adj(B): (b x c, c x a, a x b)
+    x0, x1, x2 = b1 * c2 - b2 * c1, b2 * c0 - b0 * c2, b0 * c1 - b1 * c0
+    y0, y1, y2 = c1 * a2 - c2 * a1, c2 * a0 - c0 * a2, c0 * a1 - c1 * a0
+    z0, z1, z2 = a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0
+    det = abs(a0 * x0 + a1 * x1 + a2 * x2)
+    U0 = (abs(x0) * h + abs(x1) * g + abs(x2) * s) // det
+    U1 = (abs(y0) * h + abs(y1) * g + abs(y2) * s) // det
+    U2 = (abs(z0) * h + abs(z1) * g + abs(z2) * s) // det
     out = set()
     for u2 in range(U2 + 1):
         for u1 in range(-U1 if u2 else 0, U1 + 1):
-            p = [u1 * x + u2 * y for x, y in zip(b1, b2)]
+            p0, p1, p2 = u1 * b0 + u2 * c0, u1 * b1 + u2 * c1, u1 * b2 + u2 * c2
             for u0 in range(-U0 if u1 or u2 else 1, U0 + 1):
-                m1, m2, z = (u0 * x + y for x, y in zip(b0, p))
-                if (m1 or m2) and abs(m1) <= h and abs(m2) <= g and abs(z) <= s:
-                    if (m1, m2) != canonical_class(m1, m2):
-                        m1, m2 = -m1, -m2
-                    out.add((abs(z), m1, m2))
+                m1, m2, z = u0 * a0 + p0, u0 * a1 + p1, u0 * a2 + p2
+                if (m1 or m2) and -h <= m1 <= h and -g <= m2 <= g and -s <= z <= s:
+                    out.add((abs(z), *canonical_class(m1, m2)))
     return out
+
+
+def _check_precision(theta: ThetaForm, h: int, zeta: Fraction, H: int) -> None:
+    """validate_precision(theta, h, zeta), failing with the digits of theta
+    that the requested bound H needs: the least N with
+    10^N > 10*(H + ceil_isqrt(H))*H^(3/2). Some class of height <= H has
+    zeta <= H^(-3/2) (Minkowski), so a declared error 10^-d passes the guard
+    at H only when d >= N.
+    """
+    try:
+        validate_precision(theta, h, zeta)
+    except PrecisionExhausted as e:
+        # 10^(2N) > 100*(H + ceil_isqrt(H))^2*H^3 =: X iff 2N >= digits of X
+        X = 100 * (H + ceil_isqrt(H)) ** 2 * H**3
+        need = (len(str(X)) + 1) // 2
+        err = theta.declared_error
+        have = len(str(err.denominator // err.numerator)) - 1  # 10^-have >= err
+        extra = max(need - have, e.extra_digits or 1)
+        raise PrecisionExhausted(
+            f"declared truncation error {err} of theta is too coarse: the "
+            f"guard fails at height_sq={h}, zeta={zeta}; height_sq_max={H} "
+            f"needs at least {need} decimal digits of theta, the declared "
+            f"error gives {have}: roughly {extra} more",
+            extra_digits=extra,
+        ) from None
 
 
 def enumerate_best_approx(theta: ThetaForm, height_sq_max: int) -> BestApproxSequence:
@@ -182,7 +213,8 @@ def enumerate_best_approx(theta: ThetaForm, height_sq_max: int) -> BestApproxSeq
     exact zeta = 0 inside the range or on a tied record decision, and
     PrecisionExhausted when the declared truncation error cannot support a
     record's zeta at its height (checked before that record's zero and tie
-    decision) or the last zeta at height_sq_max.
+    decision) or the last zeta at height_sq_max; its message and
+    extra_digits name the digits of theta that height_sq_max needs.
     """
     H = height_sq_max
     if H < 0:
@@ -196,7 +228,7 @@ def enumerate_best_approx(theta: ThetaForm, height_sq_max: int) -> BestApproxSeq
         # lattice points (m1, m2, z = A1*m1 + A2*m2 + D*m0); zeta is the
         # least |z| / D over m0
         basis = [[1, 0, A1], [0, 1, A2], [0, 0, D]]
-        h0, s, k = 0, D // 2, 0  # last record's height, zeta bound, gallop step
+        h0, s, k = 0, D // 2, 1  # last record's height, zeta bound, gallop step
         while True:
             h = min(H, max(1, h0 + (h0 << k)))
             box = _box(basis, h, s)
@@ -206,41 +238,49 @@ def enumerate_best_approx(theta: ThetaForm, height_sq_max: int) -> BestApproxSeq
                 k += 1
                 continue
             # every class in the box is above h0 (the record at h0 is the
-            # least zeta up to h0), and the smaller boxes tried before held
-            # none, so the least height in it is the next record's
-            hrec = min(weighted_height_sq(m1, m2) for _z, m1, m2 in box)
-            level = sorted(c for c in box if weighted_height_sq(c[1], c[2]) == hrec)
-            z, m1, m2 = level[0]
-            zeta = Fraction(z, D)
-            validate_precision(theta, hrec, zeta)
-            winners = [(c[1], c[2]) for c in level if c[0] == z]
-            if z == 0:
-                raise DegenerateForm(
-                    f"exact zero form value at height_sq={hrec}: classes {winners}"
+            # least zeta up to h0), so the records in (h0, h] are the strict
+            # running minimum of |z| over the box's height levels
+            levels: dict[int, list[tuple[int, int, int]]] = {}
+            for c in box:
+                levels.setdefault(weighted_height_sq(c[1], c[2]), []).append(c)
+            for hrec in sorted(levels):
+                level = sorted(levels[hrec])
+                z, m1, m2 = level[0]
+                if z > s:
+                    continue
+                zeta = Fraction(z, D)
+                _check_precision(theta, hrec, zeta, H)
+                winners = [(c[1], c[2]) for c in level if c[0] == z]
+                if z == 0:
+                    raise DegenerateForm(
+                        f"exact zero form value at height_sq={hrec}: classes {winners}"
+                    )
+                if len(winners) > 1:
+                    raise DegenerateForm(
+                        f"tied record at height_sq={hrec}, zeta={z}/{D}: {winners}"
+                    )
+                zeta_check, m0 = form_value(theta, m1, m2)
+                if zeta_check != zeta:
+                    raise RuntimeError("lattice/rational distance mismatch")
+                vectors.append(
+                    BestApproxVector(
+                        index=len(vectors) + 1,
+                        m0=m0,
+                        m1=m1,
+                        m2=m2,
+                        height_sq=hrec,
+                        zeta=zeta,
+                        kind=vector_kind(m1, m2),
+                    )
                 )
-            if len(winners) > 1:
-                raise DegenerateForm(
-                    f"tied record at height_sq={hrec}, zeta={z}/{D}: {winners}"
-                )
-            zeta_check, m0 = form_value(theta, m1, m2)
-            if zeta_check != zeta:
-                raise RuntimeError("lattice/rational distance mismatch")
-            vectors.append(
-                BestApproxVector(
-                    index=len(vectors) + 1,
-                    m0=m0,
-                    m1=m1,
-                    m2=m2,
-                    height_sq=hrec,
-                    zeta=zeta,
-                    kind=vector_kind(m1, m2),
-                )
-            )
-            h0, s, k = hrec, z - 1, 0
+                h0, s = hrec, z - 1
+            if h == H:
+                break
+            k = 1
 
     seq = BestApproxSequence(theta=theta, height_sq_max=H, vectors=tuple(vectors))
     if vectors:
-        validate_precision(theta, H, vectors[-1].zeta)
+        _check_precision(theta, H, vectors[-1].zeta, H)
     return seq
 
 

@@ -13,7 +13,6 @@ from badsieve.bestapprox import (
     BestApproxSequence,
     BestApproxVector,
     _box,
-    _cross,
     _reduce,
     audit_growth,
     audit_minkowski,
@@ -105,26 +104,30 @@ def _det3(b):
     return a * (e * i - f * h) - b_ * (d * i - f * g) + c * (d * h - e * g)
 
 
-def _gram(b):
-    return [[sum(x * y for x, y in zip(p, q)) for q in b] for p in b]
-
-
-def _assert_reduced(b0, b):
-    """b spans the lattice of b0 and is reduced as _reduce promises: norms
-    sorted, rows 0 and 1 Gauss-reduced, and row 2 size-reduced against them
-    (its Cramer coordinates c/det in their plane are at most 1/2 in size)."""
-    det = _det3(b0)
-    assert abs(_det3(b)) == abs(det)
-    # row = u * b0 with u = row * adj(b0) / det integral; the columns of
-    # adj(b0) are the cross products of b0's rows
-    adj = [
+def _adj(b):
+    """The columns of adj(b): the cross products of the other two rows."""
+    return [
         [p[1] * q[2] - p[2] * q[1], p[2] * q[0] - p[0] * q[2],
          p[0] * q[1] - p[1] * q[0]]
-        for p, q in ((b0[1], b0[2]), (b0[2], b0[0]), (b0[0], b0[1]))
+        for p, q in ((b[1], b[2]), (b[2], b[0]), (b[0], b[1]))
     ]
+
+
+def _gram(b, w):
+    return [[sum(x * y * c for x, y, c in zip(p, q, w)) for q in b] for p in b]
+
+
+def _assert_reduced(b0, b, w):
+    """b spans the lattice of b0 and is reduced as _reduce promises in the
+    Gram matrix weighted by w: norms sorted, rows 0 and 1 Gauss-reduced, and
+    row 2 size-reduced against them (its Cramer coordinates c/det in their
+    plane are at most 1/2 in size)."""
+    det = _det3(b0)
+    assert abs(_det3(b)) == abs(det)
+    # row = u * b0 with u = row * adj(b0) / det integral
     for row in b:
-        assert all(sum(x * c for x, c in zip(row, col)) % det == 0 for col in adj)
-    G = _gram(b)
+        assert all(sum(x * c for x, c in zip(row, col)) % det == 0 for col in _adj(b0))
+    G = _gram(b, w)
     assert G[0][0] <= G[1][1] <= G[2][2]
     assert 2 * abs(G[0][1]) <= G[0][0]
     det = G[0][0] * G[1][1] - G[0][1] ** 2
@@ -132,27 +135,28 @@ def _assert_reduced(b0, b):
     assert 2 * abs(G[0][0] * G[2][1] - G[0][1] * G[2][0]) <= det
 
 
-def test_reduce_random_bases():
-    rng = random.Random("reduce")
-    cases = 0
-    while cases < 300:
+def _random_bases(rng, count):
+    """count random nonsingular 3x3 bases of 4-200 bits, each with column
+    scales: (1, 1, 1) for about a quarter of them, else 1-100 bits each."""
+    while count:
         bits = rng.randrange(4, 201)
         b0 = [[rng.randrange(-(2**bits), 2**bits + 1) for _ in range(3)]
               for _ in range(3)]
         if _det3(b0) == 0:
             continue
-        b = [row[:] for row in b0]
-        _reduce(b)
-        _assert_reduced(b0, b)
-        cases += 1
+        scale = [1, 1, 1] if rng.random() < 0.25 else [
+            rng.randrange(1, 2**rng.randrange(1, 101)) for _ in range(3)
+        ]
+        yield b0, scale
+        count -= 1
 
 
-def test_reduce_enumerator_bases():
-    # the box query's input: rows [1, 0, A1], [0, 1, A2], [0, 0, D] with
-    # columns scaled by (g*s, h*s, h*g), reduced, unscaled and rescaled at a
-    # larger height as the gallop does
-    rng = random.Random("reduce-box")
-    for _ in range(60):
+def _enumerator_bases(rng, count):
+    """The box query's inputs: rows [1, 0, A1], [0, 1, A2], [0, 0, D] and
+    the column scales (g*s, h*s, h*g) of four growing heights, each query
+    warm-started from the basis the previous one left (with weights scale^2,
+    as _box reduces it)."""
+    for _ in range(count):
         D = rng.randrange(2, 10 ** rng.randrange(2, 181))
         basis = [[1, 0, rng.randrange(D)], [0, 1, rng.randrange(D)], [0, 0, D]]
         h = 1
@@ -160,11 +164,38 @@ def test_reduce_enumerator_bases():
             h = rng.randrange(h, 4 * h + 2**rng.randrange(1, 113))
             g, s = isqrt(h), max(1, rng.randrange(D // 2 + 1))
             scale = (g * s, h * s, h * g)
-            b0 = [[x * c for x, c in zip(row, scale)] for row in basis]
-            b = [row[:] for row in b0]
-            _reduce(b)
-            _assert_reduced(b0, b)
-            basis = [[x // c for x, c in zip(row, scale)] for row in b]
+            yield [row[:] for row in basis], scale
+            _reduce(basis, tuple(c * c for c in scale))
+
+
+def test_reduce_random_bases():
+    for b0, scale in _random_bases(random.Random("reduce"), 300):
+        w = tuple(c * c for c in scale)
+        b = [row[:] for row in b0]
+        _reduce(b, w)
+        _assert_reduced(b0, b, w)
+
+
+def test_reduce_enumerator_bases():
+    for b0, scale in _enumerator_bases(random.Random("reduce-box"), 60):
+        w = tuple(c * c for c in scale)
+        b = [row[:] for row in b0]
+        _reduce(b, w)
+        _assert_reduced(b0, b, w)
+
+
+def test_weighted_reduction_equals_scaled_reduction():
+    # reducing the unscaled rows with weights scale^2 makes the moves of
+    # reducing the column-scaled rows with unit weights, so it leaves the
+    # same basis once the scaled result is unscaled
+    rng = random.Random("reduce-weighted")
+    bases = list(_random_bases(rng, 200)) + list(_enumerator_bases(rng, 50))
+    for b0, scale in bases:
+        weighted = [row[:] for row in b0]
+        _reduce(weighted, tuple(c * c for c in scale))
+        scaled = [[x * c for x, c in zip(row, scale)] for row in b0]
+        _reduce(scaled, (1, 1, 1))
+        assert weighted == [[x // c for x, c in zip(row, scale)] for row in scaled]
 
 
 def _listing_sizes(monkeypatch, theta, H, limit):
@@ -176,20 +207,14 @@ def _listing_sizes(monkeypatch, theta, H, limit):
     sizes, query = [], []
 
     def boxed(basis, h, s):
-        query[:] = [[row[:] for row in basis], h, s]
+        query[:] = [h, s]
         return box(basis, h, s)
 
-    def reduced(b):
-        basis, h, s = query
-        # _box scales each column of basis by one factor: recover it, so
-        # the reduced basis can be unscaled as _box unscales it
-        scale = [next(x // y for x, y in zip(cb, cq) if y)
-                 for cb, cq in zip(zip(*b), zip(*basis))]
-        reduce(b)
-        b0, b1, b2 = [[x // c for x, c in zip(row, scale)] for row in b]
-        adj = [_cross(b1, b2), _cross(b2, b0), _cross(b0, b1)]
-        det = abs(sum(x * y for x, y in zip(b0, adj[0])))
-        U = [sum(abs(c) * w for c, w in zip(col, (h, isqrt(h), s))) // det for col in adj]
+    def reduced(b, w):
+        h, s = query
+        reduce(b, w)
+        det = abs(_det3(b))
+        U = [sum(abs(c) * r for c, r in zip(col, (h, isqrt(h), s))) // det for col in _adj(b)]
         sizes.append(((2 * U[0] + 1) * (2 * U[1] + 1) * (2 * U[2] + 1) - 1) // 2)
         assert sizes[-1] <= limit, f"box query h={h}, s={s} lists {sizes[-1]} points"
 
@@ -210,6 +235,31 @@ def test_box_listing_stays_small(monkeypatch, theta, H):
     # listing's size shows a reduction in the wrong metric; at most 37
     # points per query were measured on these pairs
     assert _listing_sizes(monkeypatch, theta, H, limit=64)
+
+
+@pytest.mark.parametrize(
+    "theta, H, queries",
+    [(get_entry("sqrt2-sqrt3").theta, 2**32, 29),
+     (get_entry("golden-pair").theta, 2**32, 32),
+     (get_entry("liouville").theta, 2**32, 34),
+     (sqrt_pair_truncated(120), 2**112, 106)],
+    ids=["sqrt2-sqrt3", "golden-pair", "liouville", "sqrt2-sqrt3@120"],
+)
+def test_box_query_count(monkeypatch, theta, H, queries):
+    # the work counter of enumeration: one box query per gallop step. A box
+    # yields every record it holds, so sqrt2-sqrt3 to 2^32 makes fewer
+    # queries than it has records; taking one record per box would not
+    box, calls = bestapprox._box, []
+
+    def counted(basis, h, s):
+        calls.append(h)
+        return box(basis, h, s)
+
+    monkeypatch.setattr(bestapprox, "_box", counted)
+    seq = enumerate_best_approx(theta, H)
+    assert len(calls) <= queries
+    if H == 2**32 and theta == SQRT_PAIR:
+        assert len(calls) < len(seq.vectors) == 42
 
 
 _theta_coord = st.integers(2, 10**4).flatmap(
@@ -302,6 +352,9 @@ _SMALL_DENOMINATORS = sorted(
 
 @settings(max_examples=300, deadline=None)
 @example(t1=Fraction(1, 2), t2=Fraction(1, 3), bound=200)
+@example(t1=Fraction(5, 11), t2=Fraction(3, 10), bound=200)
+@example(t1=Fraction(33, 37), t2=Fraction(23, 33), bound=200)
+@example(t1=Fraction(15, 22), t2=Fraction(4, 33), bound=200)
 @given(
     t1=st.sampled_from(_SMALL_DENOMINATORS),
     t2=st.sampled_from(_SMALL_DENOMINATORS),
@@ -311,7 +364,11 @@ def test_matches_oracle_small_denominators(t1, t2, bound):
     # exact zeros, half-integer values and tied classes all occur here; both
     # sides must agree on the records or both raise DegenerateForm. The
     # example (1/2, 1/3) has both in its first box: the class (1, 0) at
-    # z = +D/2 and z = -D/2, and the true tie of (1, 1) and (-1, 1) at 1/6
+    # z = +D/2 and z = -D/2, and the true tie of (1, 1) and (-1, 1) at 1/6.
+    # In the next three one box holds several records and a later level of
+    # the same box fails: (5/11, 3/10) box h=9 records at heights 4, 5, then
+    # a tie at 9; (33/37, 23/33) box h=27 three records, then a tie at 25;
+    # (15/22, 4/33) box h=9 records at 4, 7, then an exact zero at 9
     theta = ThetaForm(t1, t2)
     try:
         slow = brute_best_approx(theta, bound)
@@ -328,6 +385,22 @@ def test_precision_guard_fires_before_degenerate_record():
     # record's own precision check must stop the run there, not the zero
     with pytest.raises(PrecisionExhausted):
         enumerate_best_approx(SQRT_PAIR, 2**112)
+
+
+@pytest.mark.parametrize(
+    "theta, H, digits, need",
+    [(SQRT_PAIR, 2**112, 51, 86), (sqrt_pair_truncated(300), 2**448, 300, 339)],
+    ids=["51-digits@2^112", "300-digits@2^448"],
+)
+def test_precision_error_names_digits_for_bound(theta, H, digits, need):
+    # the guard fails at some record's height, but the error names the
+    # digits the requested bound needs: the least N with
+    # 10^N > 10*(H + ceil(sqrt H))*H^(3/2) (86 at 2^112, 339 at 2^448)
+    with pytest.raises(PrecisionExhausted) as exc:
+        enumerate_best_approx(theta, H)
+    assert f"height_sq_max={H} needs at least {need} decimal digits" in str(exc.value)
+    assert f"the declared error gives {digits}" in str(exc.value)
+    assert exc.value.extra_digits == need - digits
 
 
 def test_audits_clean_on_real_sequences():
