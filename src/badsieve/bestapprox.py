@@ -11,12 +11,12 @@ Enumeration never scans the plane. Over a common denominator D the form
 is z = A1*m1 + A2*m2 + D*m0 and zeta = min |z| / D, so the classes of
 height <= h and zeta <= s/D are the points of the 3-D lattice
 {(m1, m2, z)} in the box |m1| <= h, |m2| <= isqrt(h), |z| <= s. One exact
-box query lists them: reduce the basis in the metric in which the box is
-a cube (Gauss steps on two rows, Babai rounding of the third, on a Gram
-matrix weighted by the squared column scales, warm-started from the
-previous query's basis), bound each lattice coordinate over the box by
-Cramer's rule (the adjugate of the reduced basis), list that integer
-parallelepiped and filter the box exactly.
+box query of the lattice module lists them: reduce the basis in the metric
+in which the box is a cube (Gauss steps on two rows, Babai rounding of the
+third, on a Gram matrix weighted by the squared column scales,
+warm-started from the previous query's basis), bound each lattice
+coordinate over the box by Cramer's rule (the adjugate of the reduced
+basis), list that integer parallelepiped and filter the box exactly.
 
 After a record (h0, z0) every class with |z| <= s = z0 - 1 lies above h0,
 so the records in (h0, h] are the strict running minimum of |z| over the
@@ -36,6 +36,7 @@ from fractions import Fraction
 from math import isqrt, lcm
 
 from .errors import ConfigError, DegenerateForm, PrecisionExhausted
+from .lattice import _reduce, parallelepiped
 # unused here; the benchmark's tracer (perfbench/spans.py) wraps this name
 from .modmin import first_reaching  # noqa: F401
 from .rationals import (
@@ -105,43 +106,6 @@ class BestApproxSequence:
             prev = v
 
 
-def _reduce(b: list[list[int]], w: tuple[int, int, int]) -> None:
-    """Reduce the three independent integer rows b in place on their Gram
-    matrix G[i][j] = sum_k b[i][k]*b[j][k]*w[k], weighted by w. A pass sorts
-    the rows by norm, then Gauss-reduces row 1 by row 0 or Babai-rounds row 2
-    against rows 0 and 1 (Cramer coordinates c/det). The moves depend on G
-    alone, so with w the squared column scales they are the moves of the
-    column-scaled rows under unit weights. On return norms are sorted, rows
-    0, 1 Lagrange-reduced, |2*c[i]| <= det."""
-    w0, w1, w2 = w
-    G = [[0] * 3 for _ in range(3)]
-    for i, j in (0, 0), (1, 0), (1, 1), (2, 0), (2, 1), (2, 2):
-        (x0, x1, x2), (y0, y1, y2) = b[i], b[j]
-        G[i][j] = G[j][i] = x0 * y0 * w0 + x1 * y1 * w1 + x2 * y2 * w2
-
-    def sub(i: int, j: int, q: int) -> None:  # row i -= q * row j
-        if q:
-            b[i] = [x - q * y for x, y in zip(b[i], b[j])]
-            G[i][i] += q * q * G[j][j] - 2 * q * G[i][j]
-            for k in {0, 1, 2} - {i}:
-                G[i][k] = G[k][i] = G[i][k] - q * G[j][k]
-
-    while True:
-        order = sorted(range(3), key=lambda i: G[i][i])
-        b[:] = [b[i] for i in order]
-        G[:] = [[G[i][j] for j in order] for i in order]
-        if 2 * abs(G[1][0]) > G[0][0]:
-            sub(1, 0, (2 * G[1][0] + G[0][0]) // (2 * G[0][0]))
-            continue
-        det = G[0][0] * G[1][1] - G[0][1] ** 2
-        c0 = G[1][1] * G[2][0] - G[0][1] * G[2][1]
-        c1 = G[0][0] * G[2][1] - G[0][1] * G[2][0]
-        sub(2, 0, (2 * c0 + det) // (2 * det))
-        sub(2, 1, (2 * c1 + det) // (2 * det))
-        if G[2][2] >= G[1][1]:  # else row 2 got shorter and the norm sum fell
-            return
-
-
 def _box(basis: list[list[int]], h: int, s: int) -> set[tuple[int, int, int]]:
     """The canonical classes (|z|, m1, m2) with |m1| <= h, |m2| <= isqrt(h),
     (m1, m2) != 0 and |z| <= s for some lattice point (m1, m2, z) spanned by
@@ -150,26 +114,18 @@ def _box(basis: list[list[int]], h: int, s: int) -> set[tuple[int, int, int]]:
 
     _reduce reduces basis in place, the warm start of the next query, on the
     Gram matrix weighted by w = ((g*s')^2, (h*s')^2, (h*g)^2), g = isqrt(h),
-    s' = max(s, 1): the metric in which the box is a cube. A point
-    x = u*B has u = x*adj(B)/det(B), and the column of adj(B) that gives
-    u[i] is the cross product of the other two rows, so in the box
-    |u[i]| <= sum_j |adj(B)[j][i]|*half[j] // |det B| with half = (h, g, s). One of each +-u in
-    that integer parallelepiped is listed and filtered exactly. It held at
-    most 37 points per query on the catalog pairs to M^2 = 2^32, 52 on
-    120-digit pairs to 2^112, 62 on 340-digit pairs to 2^448 and 67 on
-    700-digit pairs to 2^896."""
+    s' = max(s, 1): the metric in which the box is a cube.
+    lattice.parallelepiped bounds each coordinate u[i] of a point u*B of the
+    box half = (h, g, s) by |u[i]| <= U_i (Cramer's rule on the adjugate).
+    One of each +-u in that integer parallelepiped is listed and filtered
+    exactly. It held at most 37 points per query on the catalog pairs to
+    M^2 = 2^32, 52 on 120-digit pairs to 2^112, 62 on 340-digit pairs to
+    2^448 and 67 on 700-digit pairs to 2^896."""
     g = isqrt(h)
     sp = max(s, 1)
     _reduce(basis, ((g * sp) ** 2, (h * sp) ** 2, (h * g) ** 2))
+    (_, U0), (_, U1), (_, U2) = parallelepiped(basis, (h, g, s))
     (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = basis
-    # the columns of adj(B): (b x c, c x a, a x b)
-    x0, x1, x2 = b1 * c2 - b2 * c1, b2 * c0 - b0 * c2, b0 * c1 - b1 * c0
-    y0, y1, y2 = c1 * a2 - c2 * a1, c2 * a0 - c0 * a2, c0 * a1 - c1 * a0
-    z0, z1, z2 = a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0
-    det = abs(a0 * x0 + a1 * x1 + a2 * x2)
-    U0 = (abs(x0) * h + abs(x1) * g + abs(x2) * s) // det
-    U1 = (abs(y0) * h + abs(y1) * g + abs(y2) * s) // det
-    U2 = (abs(z0) * h + abs(z1) * g + abs(z2) * s) // det
     out = set()
     for u2 in range(U2 + 1):
         for u1 in range(-U1 if u2 else 0, U1 + 1):

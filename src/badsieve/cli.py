@@ -130,7 +130,9 @@ def build_parser() -> _Parser:
     p = sub.add_parser("verify", help="recheck a certificate from scratch")
     p.add_argument("certificate", help="certificate JSON file")
     p.add_argument("--Q", type=int, default=10**5, help="scan bound for the scores")
-    p.add_argument("--trace", action="store_true", help="print running-min records")
+    p.add_argument(
+        "--trace", action="store_true", help="print running-min records and each scan's work"
+    )
     p.add_argument("--out", help="verified copy path (default: *.verified.json)")
     p.set_defaults(func=cmd_verify)
 
@@ -279,6 +281,7 @@ def cmd_verify(args) -> int:
     if args.trace:
         for q, cubed in rep.running_min_trace:
             print(f"  theta record at q={q}: cubed={cubed}")
+        _print_scan_work("theta", rep)
     print(
         f"bad_theta_score Q={args.Q}: {rep.score:.6e} "
         f"(cubed {rep.score_cubed}, argmin q={rep.argmin})"
@@ -287,6 +290,8 @@ def cmd_verify(args) -> int:
         raise InvariantViolation("eta lies on the orbit: score hit exact 0")
 
     hom = bad_alpha_beta_score(theta, args.Q)
+    if args.trace:
+        _print_scan_work("alpha_beta", hom)
     print(f"bad_alpha_beta_score Q={args.Q}: {hom.score:.6e} (cubed {hom.score_cubed})")
 
     stamped = dataclasses.replace(
@@ -295,6 +300,14 @@ def cmd_verify(args) -> int:
     vpath = _verified_path(args.certificate, args.out)
     _write_output(vpath, certificate_json(stamped))
     return EXIT_CODES["ok"]
+
+
+def _print_scan_work(name: str, rep) -> None:
+    w = rep.work
+    print(
+        f"  {name} scan: {w['blocks']} blocks, {w['listed']} listed points, "
+        f"{w['scored']} q scored"
+    )
 
 
 def _divergence(fast, slow) -> str:

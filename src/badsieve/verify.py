@@ -1,7 +1,8 @@
 """Independent checks, and the exact weighted scores verify reports.
 
 bad_theta_score and bad_alpha_beta_score call modmin.weighted_min_scan,
-which jumps from one candidate q to the next instead of scoring every q.
+which lists the q that can set a new running minimum with one coset box
+query per block of q and scores only those, instead of scoring every q.
 Everything else here is deliberately naive: exhaustive scans in exact integer
 arithmetic, no shared machinery with the clever implementations they audit.
 linear_weighted_min_scan, which scores every q, is the naive oracle of the
@@ -13,7 +14,7 @@ rational.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import ceil, floor, isqrt, lcm
 
@@ -34,7 +35,8 @@ class ScoreReport:
     score_cubed is always the exact cube of the score. exact_score is set
     only when the score itself is rational (the unweighted linear-form case);
     for the q-weighted scores the cube is the exact object and `score` gives
-    a float view of its cube root for display.
+    a float view of its cube root for display. work holds the fast q-scan's
+    counters (blocks, listed, scored) and takes no part in comparisons.
     """
 
     bound: int
@@ -42,6 +44,7 @@ class ScoreReport:
     argmin: object  # q (int) or a vector pair (m1, m2)
     running_min_trace: tuple[tuple[int, Fraction], ...]  # (position, cubed)
     exact_score: Fraction | None = None
+    work: dict | None = field(default=None, compare=False)
 
     @property
     def score(self) -> float:
@@ -95,7 +98,8 @@ def _weighted_score(
     t1: Fraction, t2: Fraction, e1: Fraction, e2: Fraction, Q: int
 ) -> ScoreReport:
     """linear_weighted_min_scan's report, from modmin.weighted_min_scan on
-    the numerators over the common denominator D; about Q^(1/3) q scored."""
+    the numerators over the common denominator D, with the scan's work
+    counters."""
     if Q < 1:
         raise ConfigError("scan bound must be >= 1")
     D = lcm(t1.denominator, t2.denominator, e1.denominator, e2.denominator)
@@ -103,8 +107,9 @@ def _weighted_score(
     def scaled(x: Fraction) -> int:
         return x.numerator * (D // x.denominator)
 
+    work = {}
     best, best_q, trace = weighted_min_scan(
-        scaled(t1), -scaled(e1), scaled(t2), -scaled(e2), D, Q
+        scaled(t1), -scaled(e1), scaled(t2), -scaled(e2), D, Q, work
     )
     D3 = D**3
     return ScoreReport(
@@ -112,6 +117,7 @@ def _weighted_score(
         score_cubed=Fraction(best, D3),
         argmin=best_q,
         running_min_trace=tuple((q, Fraction(c, D3)) for q, c in trace),
+        work=work,
     )
 
 

@@ -37,6 +37,38 @@ def pytest_runtest_protocol(item, nextitem):
         signal.signal(signal.SIGALRM, old)
 
 
+def _time_limit_failure():
+    """Re-raise TimeLimitExceeded without the frames it interrupted, naming
+    the one the alarm landed in. The alarm can land on an instruction that
+    has no line number (a loop's backward jump); a traceback entry with
+    tb_lineno None makes pytest's report fail with an INTERNALERROR that
+    ends the run, so the slow test would not count as one failure."""
+    try:
+        return (yield)
+    except TimeLimitExceeded as e:
+        tb = e.__traceback__
+        while tb.tb_next is not None and tb.tb_next.tb_frame.f_code is not _expire.__code__:
+            tb = tb.tb_next
+        frame = tb.tb_frame
+        where = f"{frame.f_globals.get('__name__')}.{frame.f_code.co_name}"
+        raise TimeLimitExceeded(f"{e} (interrupted in {where})") from None
+
+
+@pytest.hookimpl(wrapper=True)
+def pytest_runtest_setup(item):
+    return (yield from _time_limit_failure())
+
+
+@pytest.hookimpl(wrapper=True)
+def pytest_runtest_call(item):
+    return (yield from _time_limit_failure())
+
+
+@pytest.hookimpl(wrapper=True)
+def pytest_runtest_teardown(item, nextitem):
+    return (yield from _time_limit_failure())
+
+
 def expand_rows(rows):
     """The set of children (i, j) that per-row closed i-ranges cover."""
     return {
