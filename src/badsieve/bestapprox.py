@@ -25,12 +25,12 @@ lowers s to its z - 1. The enumerator gallops h = 3*h0, 5*h0, 9*h0, ...
 (capped at the bound) to the first non-empty box and takes every record it
 holds. No float enters, and nothing is done per m2 or per height: the work
 grows with the number of records and gallop steps and with the bit size of
-the numbers.
+the numbers. Each record's precision guard, distance check and m0 are
+integer tests over D; a Fraction is built only for an emitted zeta.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt, lcm
@@ -43,7 +43,6 @@ from .rationals import (
     ThetaForm,
     ceil_isqrt,
     fingerprint,
-    form_value,
     format_rational,
     validate_precision,
     weighted_height_sq,
@@ -137,6 +136,15 @@ def _box(basis: list[list[int]], h: int, s: int) -> set[tuple[int, int, int]]:
     return out
 
 
+def _nearest(n: int, D: int) -> tuple[int, int]:
+    """form_value over the denominator D > 0: (D*zeta, m0) with
+    zeta = |m0 + n/D| least, and at a half-integer the m0 of smaller |m0|."""
+    lo, r = divmod(n, D)
+    if 2 * r < D or (2 * r == D and lo >= 0):
+        return r, -lo
+    return D - r, -lo - 1
+
+
 def _check_precision(theta: ThetaForm, h: int, zeta: Fraction, H: int) -> None:
     """validate_precision(theta, h, zeta), failing with the digits of theta
     that the requested bound H needs: the least N with
@@ -184,6 +192,7 @@ def enumerate_best_approx(theta: ThetaForm, height_sq_max: int) -> BestApproxSeq
         # lattice points (m1, m2, z = A1*m1 + A2*m2 + D*m0); zeta is the
         # least |z| / D over m0
         basis = [[1, 0, A1], [0, 1, A2], [0, 0, D]]
+        p, q = theta.declared_error.numerator, theta.declared_error.denominator
         h0, s, k = 0, D // 2, 1  # last record's height, zeta bound, gallop step
         while True:
             h = min(H, max(1, h0 + (h0 << k)))
@@ -204,8 +213,10 @@ def enumerate_best_approx(theta: ThetaForm, height_sq_max: int) -> BestApproxSeq
                 z, m1, m2 = level[0]
                 if z > s:
                     continue
-                zeta = Fraction(z, D)
-                _check_precision(theta, hrec, zeta, H)
+                # validate_precision's guard z/D > 10*(p/q)*(h + ceil_isqrt(h)),
+                # times q*D; only a failing record pays for the Fraction
+                if z * q <= 10 * p * (hrec + ceil_isqrt(hrec)) * D:
+                    _check_precision(theta, hrec, Fraction(z, D), H)
                 winners = [(c[1], c[2]) for c in level if c[0] == z]
                 if z == 0:
                     raise DegenerateForm(
@@ -215,8 +226,8 @@ def enumerate_best_approx(theta: ThetaForm, height_sq_max: int) -> BestApproxSeq
                     raise DegenerateForm(
                         f"tied record at height_sq={hrec}, zeta={z}/{D}: {winners}"
                     )
-                zeta_check, m0 = form_value(theta, m1, m2)
-                if zeta_check != zeta:
+                zd, m0 = _nearest(A1 * m1 + A2 * m2, D)
+                if zd != z:
                     raise RuntimeError("lattice/rational distance mismatch")
                 vectors.append(
                     BestApproxVector(
@@ -225,7 +236,7 @@ def enumerate_best_approx(theta: ThetaForm, height_sq_max: int) -> BestApproxSeq
                         m1=m1,
                         m2=m2,
                         height_sq=hrec,
-                        zeta=zeta,
+                        zeta=Fraction(z, D),
                         kind=vector_kind(m1, m2),
                     )
                 )
@@ -276,16 +287,11 @@ def sequence_fingerprint(seq: BestApproxSequence) -> str:
 
 
 def export_sequence_lines(seq: BestApproxSequence) -> str:
-    lines = []
-    for v in seq.vectors:
-        rec = {
-            "index": v.index,
-            "m0": v.m0,
-            "m1": v.m1,
-            "m2": v.m2,
-            "height_sq": v.height_sq,
-            "zeta": format_rational(v.zeta),
-            "kind": v.kind,
-        }
-        lines.append(json.dumps(rec, separators=(",", ":")))
-    return "".join(line + "\n" for line in lines)
+    """One compact JSON object per vector. Every value is an int or a "p/q"
+    string of digits, '-' and '/', so no escaping is ever needed."""
+    return "".join(
+        f'{{"index":{v.index},"m0":{v.m0},"m1":{v.m1},"m2":{v.m2},'
+        f'"height_sq":{v.height_sq},"zeta":"{format_rational(v.zeta)}",'
+        f'"kind":{v.kind}}}\n'
+        for v in seq.vectors
+    )

@@ -21,7 +21,8 @@ oracle in the verify module.
 Every level decision (the strip walk, the gap test, the base test) is an
 integer comparison: the rectangle's corner, its child widths and epsilon
 are put over one common denominator D, and each floor, ceil and strict
-inequality is taken of the same rational scaled by D > 0.
+inequality is taken of the same rational scaled by D > 0. The chosen
+child's corner and the final centre are built from the same integers.
 """
 
 from __future__ import annotations
@@ -115,17 +116,18 @@ class Rectangle:
         )
 
     def center(self, cfg: SieveConfig) -> tuple[Fraction, Fraction]:
-        w1, w2 = self.widths(cfg)
-        return (self.b1 + w1 / 2, self.b2 + w2 / 2)
+        # the widths are R^2 child widths along x1 and R along x2
+        R = cfg.R
+        D, X1, X2, C1, C2, _ = _frame(self, cfg)
+        return Fraction(2 * X1 + R * R * C1, 2 * D), Fraction(2 * X2 + R * C2, 2 * D)
 
 
 def child_rect(B: Rectangle, cfg: SieveConfig, i: int, j: int) -> Rectangle:
     R = cfg.R
     if not (0 <= i < R * R and 0 <= j < R):
         raise ConfigError(f"chosen child ({i}, {j}) is out of range for R={R}")
-    cw1 = cfg.delta / R ** (2 * (B.level + 1))
-    cw2 = cfg.delta / R ** (B.level + 1)
-    return Rectangle(B.b1 + i * cw1, B.b2 + j * cw2, B.level + 1)
+    D, X1, X2, C1, C2, _ = _frame(B, cfg)
+    return Rectangle(Fraction(X1 + i * C1, D), Fraction(X2 + j * C2, D), B.level + 1)
 
 
 def _frame(B: Rectangle, cfg: SieveConfig) -> tuple[int, int, int, int, int, int]:

@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import random
 
 import pytest
@@ -27,7 +29,7 @@ from badsieve.errors import (
     DegenerateForm,
     PrecisionExhausted,
 )
-from badsieve.rationals import ThetaForm
+from badsieve.rationals import ThetaForm, ceil_isqrt, form_value
 from badsieve.verify import brute_best_approx
 
 SQRT_PAIR = get_entry("sqrt2-sqrt3").theta
@@ -427,3 +429,121 @@ def test_audit_growth_flags_violation():
     out = audit_growth(_fake_seq([a, b]), step=1)
     assert ("global", 1, 2) in out
     assert ("type1", 1, 2) in out
+
+
+# --- integer record path and export ------------------------------------------
+
+_DESK_AND_DEEP = pytest.mark.parametrize(
+    "theta, H",
+    [(get_entry(name).theta, 2**32) for name in ("sqrt2-sqrt3", "golden-pair", "liouville")]
+    + [(sqrt_pair_truncated(120), 2**112)],
+    ids=["sqrt2-sqrt3", "golden-pair", "liouville", "sqrt2-sqrt3@120"],
+)
+
+
+def _json_lines(seq):
+    """export_sequence_lines by one json.dumps per record."""
+    return "".join(
+        json.dumps(
+            {
+                "index": v.index,
+                "m0": v.m0,
+                "m1": v.m1,
+                "m2": v.m2,
+                "height_sq": v.height_sq,
+                "zeta": f"{v.zeta.numerator}/{v.zeta.denominator}",
+                "kind": v.kind,
+            },
+            separators=(",", ":"),
+        )
+        + "\n"
+        for v in seq.vectors
+    )
+
+
+@_DESK_AND_DEEP
+def test_export_matches_json_dumps(theta, H):
+    seq = enumerate_best_approx(theta, H)
+    assert export_sequence_lines(seq) == _json_lines(seq)
+
+
+def test_export_negative_m0_and_m1_matches_json_dumps():
+    seq = _fake_seq([
+        BestApproxVector(1, -3, -7, 2, 7, Fraction(1, 5), 1),
+        BestApproxVector(2, 4, -12, 5, 25, Fraction(1, 9), 2),
+    ])
+    out = export_sequence_lines(seq)
+    assert '"m0":-3,"m1":-7,' in out
+    assert out == _json_lines(seq)
+
+
+@_DESK_AND_DEEP
+def test_records_match_form_value(theta, H):
+    for v in enumerate_best_approx(theta, H).vectors:
+        assert (v.zeta, v.m0) == form_value(theta, v.m1, v.m2)
+
+
+# an odd numerator over an even denominator: the reduced denominator is even
+_even_coord = st.integers(1, 500).flatmap(
+    lambda k: st.builds(Fraction, st.integers(0, k - 1).map(lambda a: 2 * a + 1), st.just(2 * k))
+)
+
+
+@settings(max_examples=300, deadline=None)
+@example(t1=Fraction(1, 2), t2=Fraction(1, 3), m1=-1, m2=0, tie=True)
+@example(t1=Fraction(1, 2), t2=Fraction(1, 3), m1=0, m2=-1, tie=True)
+@example(t1=Fraction(5, 6), t2=Fraction(1, 3), m1=-1, m2=1, tie=False)
+@given(
+    t1=_even_coord,
+    t2=_theta_coord,
+    m1=st.integers(-(10**6), 10**6),
+    m2=st.integers(-1000, 1000),
+    tie=st.booleans(),
+)
+def test_nearest_matches_form_value(t1, t2, m1, m2, tie):
+    # with tie, m1 is an odd multiple of half t1's denominator and m2 a
+    # multiple of t2's, so the form is a half-integer of either sign
+    if tie:
+        m1 = t1.denominator // 2 * (2 * m1 + 1)
+        m2 = t2.denominator * m2
+    theta = ThetaForm(t1, t2)
+    D = lcm(t1.denominator, t2.denominator)
+    n = t1.numerator * (D // t1.denominator) * m1 + t2.numerator * (D // t2.denominator) * m2
+    zd, m0 = bestapprox._nearest(n, D)
+    assert (Fraction(zd, D), m0) == form_value(theta, m1, m2)
+    if tie:
+        assert 2 * zd == D
+
+
+@settings(max_examples=150, deadline=None)
+@given(t1=_even_coord, t2=_theta_coord, bound=st.integers(1, 400))
+def test_records_match_form_value_even_denominator(t1, t2, bound):
+    theta = ThetaForm(t1, t2)
+    try:
+        seq = enumerate_best_approx(theta, bound)
+    except DegenerateForm:
+        return
+    for v in seq.vectors:
+        assert (v.zeta, v.m0) == form_value(theta, v.m1, v.m2)
+
+
+@_DESK_AND_DEEP
+def test_precision_guard_boundary_is_strict(theta, H):
+    # at a record (h, zeta) the guard needs zeta > 10*err*(h + ceil_isqrt(h)):
+    # the error that makes it equal fails there, not at a later record or at
+    # the bound, and one step below passes
+    records = enumerate_best_approx(theta, H).vectors
+    for v in (records[0], records[len(records) // 2], records[-1]):
+        h, zeta = v.height_sq, v.zeta
+        scale = 10 * (h + ceil_isqrt(h))
+        at = dataclasses.replace(theta, declared_error=zeta / scale)
+        with pytest.raises(PrecisionExhausted) as exc:
+            enumerate_best_approx(at, H)
+        assert f"the guard fails at height_sq={h}, zeta={zeta};" in str(exc.value)
+        with pytest.raises(PrecisionExhausted) as ref:
+            bestapprox._check_precision(at, h, zeta, H)
+        assert str(exc.value) == str(ref.value)
+        assert exc.value.extra_digits == ref.value.extra_digits
+        below = Fraction(zeta.numerator, scale * zeta.denominator + 1)
+        seq = enumerate_best_approx(dataclasses.replace(theta, declared_error=below), h)
+        assert seq.vectors == records[: v.index]

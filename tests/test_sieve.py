@@ -124,6 +124,40 @@ def test_center_strictly_inside():
     assert B.b2 < c2 < B.b2 + w2
 
 
+def _fraction_child(B, cfg, i, j):
+    """child_rect by Fraction arithmetic through delta."""
+    cw1 = cfg.delta / cfg.R ** (2 * (B.level + 1))
+    cw2 = cfg.delta / cfg.R ** (B.level + 1)
+    return Rectangle(B.b1 + i * cw1, B.b2 + j * cw2, B.level + 1)
+
+
+def _fraction_center(B, cfg):
+    w1 = cfg.delta / cfg.R ** (2 * B.level)
+    w2 = cfg.delta / cfg.R**B.level
+    return B.b1 + w1 / 2, B.b2 + w2 / 2
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), R=st.integers(2, 9), levels=st.integers(0, 4))
+def test_child_and_center_match_fraction_formulas(data, R, levels):
+    # a descent from a corner on the base grid (i/(4R), j/(4R)); at every
+    # level the frame-built child and centre equal the Fraction formulas
+    cfg = SieveConfig(R=R, depth=levels + 1)
+    g = Fraction(1, 4 * R)
+    B = Rectangle(
+        data.draw(st.integers(0, 4 * R - 1)) * g,
+        data.draw(st.integers(0, 4 * R - 1)) * g,
+        0,
+    )
+    for _ in range(levels + 1):
+        assert B.center(cfg) == _fraction_center(B, cfg)
+        i = data.draw(st.integers(0, R * R - 1))
+        j = data.draw(st.integers(0, R - 1))
+        child = child_rect(B, cfg, i, j)
+        assert child == _fraction_child(B, cfg, i, j)
+        B = child
+
+
 # ------------------------------------------------------------ strip walk
 
 
