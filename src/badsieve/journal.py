@@ -4,11 +4,15 @@ A journal is JSONL: one header line (config, theta, fingerprints, base
 corner), one line per completed level, one final line. Every rational is a
 "p/q" string, keys are emitted in a fixed order, and nothing time- or
 host-dependent is ever written, so identical runs produce byte-identical
-files. parse_journal replays the chain from the base corner and checks each
-line, key by key, against what the writer emits for the values it parsed.
-What needs the records (the marks, the pick's clearance, the sequence
-fingerprint) is left to crosscheck and to resume, which requires the old
-journal's lines to begin the one it writes (check_resume_prefix).
+files. Each journal line and the certificate are written from one text
+template, with the bytes json.dumps would give (compact lines, an indent=2
+certificate); strings that a parsed file can supply are escaped as
+json.dumps escapes them. parse_journal replays the chain from the base
+corner and checks each line, key by key, against json.loads of the text the
+writer emits for the values it parsed, so that text is the only statement
+of the format. What needs the records (the marks, the pick's clearance, the
+sequence fingerprint) is left to crosscheck and to resume, which requires
+the old journal's lines to begin the one it writes (check_resume_prefix).
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ from __future__ import annotations
 import json
 from contextlib import contextmanager
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _json_str
 
 from .bestapprox import TYPE1, TYPE2
 from .errors import ConfigError
@@ -33,76 +38,69 @@ from .sieve import (
 
 SCHEMA = 1
 
-
-def _dump(obj) -> str:
-    return json.dumps(obj, separators=(",", ":"))
-
-
-def _rect_pair(rect: Rectangle) -> list[str]:
-    return [format_rational(rect.b1), format_rational(rect.b2)]
-
-
-# The config and theta fields, in the order the journal header and the
-# certificate both write them, with the JSON type each config field has.
+# The config and theta fields the parsers read, with the JSON type each
+# config field has.
 _CONFIG_FIELDS = {"R": int, "depth": int, "policy": str, "seed": int}
 _THETA_FIELDS = ("theta1", "theta2", "declared_error")
 
 
-def _config_record(cfg: SieveConfig) -> dict:
-    return {k: getattr(cfg, k) for k in _CONFIG_FIELDS}
+def _rect_pair(rect: Rectangle) -> str:
+    return f'["{format_rational(rect.b1)}","{format_rational(rect.b2)}"]'
 
 
-def _theta_record(theta: ThetaForm) -> dict:
-    return {k: format_rational(getattr(theta, k)) for k in _THETA_FIELDS}
+def _header_line(theta: ThetaForm, cfg: SieveConfig, theta_fp: str, sequence_fp: str,
+                 base: Rectangle) -> str:
+    return (
+        f'{{"type":"header","schema":{SCHEMA},"R":{cfg.R},"depth":{cfg.depth},'
+        f'"policy":{_json_str(cfg.policy)},"seed":{cfg.seed},'
+        f'"theta1":"{format_rational(theta.theta1)}",'
+        f'"theta2":"{format_rational(theta.theta2)}",'
+        f'"declared_error":"{format_rational(theta.declared_error)}",'
+        f'"theta_fingerprint":{_json_str(theta_fp)},'
+        f'"sequence_fingerprint":{_json_str(sequence_fp)},"base":{_rect_pair(base)}}}\n'
+    )
 
 
-def _header_record(theta: ThetaForm, cfg: SieveConfig, theta_fp: str, sequence_fp: str,
-                   base: Rectangle) -> dict:
-    return {
-        "type": "header",
-        "schema": SCHEMA,
-        **_config_record(cfg),
-        **_theta_record(theta),
-        "theta_fingerprint": theta_fp,
-        "sequence_fingerprint": sequence_fp,
-        "base": _rect_pair(base),
-    }
+def _bounds(cfg: SieveConfig) -> str:
+    """The level lines' "bounds" object, in capacity_bounds' key order."""
+    return "{" + ",".join(f'"{k}":{v}' for k, v in cfg.capacity_bounds().items()) + "}"
 
 
-def _level_record(rec: LevelRecord, cfg: SieveConfig) -> dict:
-    s = rec.stats
-    return {
-        "type": "level",
-        "level": rec.level,
-        "rect": _rect_pair(rec.rect),
-        "window1": list(rec.window1),
-        "window2": list(rec.window2),
-        "marks": [
-            {"index": m.index, "kind": m.kind, "kills": m.kills, "gap_ok": m.gap_ok}
-            for m in s.per_vector
-        ],
-        "type1_total": s.type1_total,
-        "type2_total": s.type2_total,
-        "union_kills": s.union_kills,
-        "survivors": s.survivors,
-        "bounds": cfg.capacity_bounds(),
-        "chosen": list(rec.chosen),
-    }
+def _level_line(rec: LevelRecord, bounds: str) -> str:
+    window1, window2, marks = [], [], []
+    type1_total = type2_total = 0
+    for m in rec.stats.per_vector:
+        marks.append(
+            f'{{"index":{m.index},"kind":{m.kind},"kills":{m.kills},'
+            f'"gap_ok":{"true" if m.gap_ok else "false"}}}'
+        )
+        if m.kind == TYPE1:
+            window1.append(str(m.index))
+            type1_total += m.kills
+        elif m.kind == TYPE2:
+            window2.append(str(m.index))
+            type2_total += m.kills
+    i, j = rec.chosen
+    return (
+        f'{{"type":"level","level":{rec.level},"rect":{_rect_pair(rec.rect)},'
+        f'"window1":[{",".join(window1)}],"window2":[{",".join(window2)}],'
+        f'"marks":[{",".join(marks)}],"type1_total":{type1_total},'
+        f'"type2_total":{type2_total},"union_kills":{rec.stats.union_kills},'
+        f'"survivors":{rec.stats.survivors},"bounds":{bounds},"chosen":[{i},{j}]}}\n'
+    )
 
 
-def _final_record(final: Rectangle) -> dict:
-    return {
-        "type": "final",
-        "level": final.level,
-        "rect": _rect_pair(final),
-    }
+def _final_line(final: Rectangle) -> str:
+    return f'{{"type":"final","level":{final.level},"rect":{_rect_pair(final)}}}\n'
 
 
 def journal_text(j: RunJournal) -> str:
-    lines = [_dump(_header_record(j.theta, j.config, j.theta_fp, j.sequence_fp, j.base))]
-    lines.extend(_dump(_level_record(rec, j.config)) for rec in j.levels)
-    lines.append(_dump(_final_record(j.final)))
-    return "".join(line + "\n" for line in lines)
+    bounds = _bounds(j.config)
+    return "".join([
+        _header_line(j.theta, j.config, j.theta_fp, j.sequence_fp, j.base),
+        *(_level_line(rec, bounds) for rec in j.levels),
+        _final_line(j.final),
+    ])
 
 
 def _typed(val, kind, key: str):
@@ -163,7 +161,7 @@ def _kind(mark: dict) -> int:
     return kind
 
 
-def _parse_level(rec: dict, rect: Rectangle, cfg: SieveConfig) -> LevelRecord:
+def _parse_level(rec: dict, rect: Rectangle, cfg: SieveConfig, bounds: str) -> LevelRecord:
     marks = tuple(
         VectorMark(
             index=_get(m, "index", int),
@@ -179,7 +177,7 @@ def _parse_level(rec: dict, rect: Rectangle, cfg: SieveConfig) -> LevelRecord:
         stats=DangerStats(marks, union_kills, cfg.R**3 - union_kills),
         chosen=tuple(_items(rec, "chosen", int, 2)),
     )
-    _check_derived(rec, _level_record(parsed, cfg))
+    _check_derived(rec, json.loads(_level_line(parsed, bounds)))
     return parsed
 
 
@@ -221,7 +219,8 @@ def parse_journal(text: str):
         tfp = theta_fingerprint(theta)
         sfp = _get(h, "sequence_fingerprint", str)
         base = rect = Rectangle(*_rational_pair(h, "base"), 0)
-        _check_derived(h, _header_record(theta, cfg, tfp, sfp, base))
+        _check_derived(h, json.loads(_header_line(theta, cfg, tfp, sfp, base)))
+    bounds = _bounds(cfg)
     levels = []
     final = None
     for k, (ln, rec) in enumerate(records[1:]):
@@ -232,10 +231,10 @@ def parse_journal(text: str):
                 expected = f"a {want!r} record" if want else "the end of the journal"
                 raise ConfigError(f"found a {found!r} record, expected {expected}")
             if want == "level":
-                levels.append(_parse_level(rec, rect, cfg))
+                levels.append(_parse_level(rec, rect, cfg, bounds))
                 rect = child_rect(rect, cfg, *levels[-1].chosen)
             else:
-                _check_derived(rec, _final_record(rect))
+                _check_derived(rec, json.loads(_final_line(rect)))
                 final = rect
     return theta, cfg, tfp, sfp, base, tuple(levels), final
 
@@ -267,29 +266,37 @@ def check_resume_prefix(old: str, new: str) -> None:
         raise ConfigError(count)
 
 
-def _certificate_record(cert: Certificate) -> dict:
-    return {
-        "schema": SCHEMA,
-        "kind": "certificate",
-        "theta": {**_theta_record(cert.theta), "fingerprint": cert.theta_fp},
-        "config": _config_record(cert.config),
-        "sequence_fingerprint": cert.sequence_fp,
-        "eta": [format_rational(cert.eta[0]), format_rational(cert.eta[1])],
-        "epsilon": format_rational(cert.epsilon),
-        "height_sq_bound": cert.height_sq_bound,
-        "verified_form_min": format_rational(cert.verified_form_min),
-        "bad_theta_score_at_Q": None
-        if cert.bad_theta_score_at_Q is None
-        else {
-            "Q": cert.bad_theta_score_at_Q[0],
-            "score_cubed": format_rational(cert.bad_theta_score_at_Q[1]),
-            "score": float(cert.bad_theta_score_at_Q[1]) ** (1.0 / 3.0),
-        },
-    }
+def _certificate_text(cert: Certificate) -> str:
+    t, c = cert.theta, cert.config
+    score = "null"
+    if cert.bad_theta_score_at_Q is not None:
+        Q, cubed = cert.bad_theta_score_at_Q
+        score = (
+            f'{{\n    "Q": {Q},\n    "score_cubed": "{format_rational(cubed)}",\n'
+            f'    "score": {float.__repr__(float(cubed) ** (1.0 / 3.0))}\n  }}'
+        )
+    return (
+        f'{{\n  "schema": {SCHEMA},\n  "kind": "certificate",\n  "theta": {{\n'
+        f'    "theta1": "{format_rational(t.theta1)}",\n'
+        f'    "theta2": "{format_rational(t.theta2)}",\n'
+        f'    "declared_error": "{format_rational(t.declared_error)}",\n'
+        f'    "fingerprint": {_json_str(cert.theta_fp)}\n  }},\n'
+        f'  "config": {{\n    "R": {c.R},\n    "depth": {c.depth},\n'
+        f'    "policy": {_json_str(c.policy)},\n    "seed": {c.seed}\n  }},\n'
+        f'  "sequence_fingerprint": {_json_str(cert.sequence_fp)},\n'
+        f'  "eta": [\n    "{format_rational(cert.eta[0])}",\n'
+        f'    "{format_rational(cert.eta[1])}"\n  ],\n'
+        f'  "epsilon": "{format_rational(cert.epsilon)}",\n'
+        f'  "height_sq_bound": {cert.height_sq_bound},\n'
+        f'  "verified_form_min": "{format_rational(cert.verified_form_min)}",\n'
+        f'  "bad_theta_score_at_Q": {score}\n}}\n'
+    )
 
 
 def certificate_json(cert: Certificate) -> str:
-    return json.dumps(_certificate_record(cert), indent=2) + "\n"
+    # parse_certificate derives through _certificate_text, so a wrapper of
+    # this name (perfbench's journal.write span) sees only the file writes
+    return _certificate_text(cert)
 
 
 def parse_certificate(text: str) -> Certificate:
@@ -308,6 +315,12 @@ def parse_certificate(text: str) -> Certificate:
     if score is not None:  # null until verify stamps a score
         s = _get(obj, "bad_theta_score_at_Q", dict)
         score = (_get(s, "Q", int), _rational(s, "score_cubed"))
+        # q = 1 alone scores at most (1/2)^3; below 0 or far above, the
+        # display score would be complex or overflow a float
+        if not 0 <= score[1] <= Fraction(1, 8):
+            raise ConfigError(
+                f"field 'score_cubed' is {format_rational(score[1])}, outside [0, 1/8]"
+            )
     cert = Certificate(
         theta=_theta(t),
         config=_config(_get(obj, "config", dict)),
@@ -316,7 +329,7 @@ def parse_certificate(text: str) -> Certificate:
         verified_form_min=_rational(obj, "verified_form_min"),
         bad_theta_score_at_Q=score,
     )
-    derived = _certificate_record(cert)
+    derived = json.loads(_certificate_text(cert))
     if score is not None:  # a display float from libm's pow, last digit host-dependent
         del derived["bad_theta_score_at_Q"]["score"]
     _check_derived(obj, derived)
