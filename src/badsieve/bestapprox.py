@@ -10,13 +10,14 @@ zeta = ||theta1*m1 + theta2*m2||. The full sequence is the Pareto staircase of
 Enumeration never scans the plane. Over a common denominator D the form
 is z = A1*m1 + A2*m2 + D*m0 and zeta = min |z| / D, so the classes of
 height <= h and zeta <= s/D are the points of the 3-D lattice
-{(m1, m2, z)} in the box |m1| <= h, |m2| <= isqrt(h), |z| <= s. One exact
-box query of the lattice module lists them: reduce the basis in the metric
-in which the box is a cube (Gauss steps on two rows, Babai rounding of the
-third, on a Gram matrix weighted by the squared column scales,
-warm-started from the previous query's basis), bound each lattice
-coordinate over the box by Cramer's rule (the adjugate of the reduced
-basis), list that integer parallelepiped and filter the box exactly.
+{(m1, m2, z)} in the half box |m1| <= h, 0 <= m2 <= isqrt(h), |z| <= s
+(every class has a point with m2 >= 0). One exact box query of the lattice
+module lists them: reduce the basis in the metric in which the box is a
+cube (Gauss steps on two rows, Babai rounding of the third, on a Gram
+matrix weighted by the squared column scales, warm-started from the
+previous query's basis), bound each lattice coordinate over the box by
+Cramer's rule (the adjugate of the reduced basis), list that integer
+parallelepiped and filter the box exactly.
 
 After a record (h0, z0) every class with |z| <= s = z0 - 1 lies above h0,
 so the records in (h0, h] are the strict running minimum of |z| over the
@@ -36,11 +37,12 @@ from fractions import Fraction
 from math import isqrt, lcm
 
 from .errors import ConfigError, DegenerateForm, PrecisionExhausted
-from .lattice import _reduce, parallelepiped
+from .lattice import box_points
 # unused here; the benchmark's tracer (perfbench/spans.py) wraps this name
 from .modmin import first_reaching  # noqa: F401
 from .rationals import (
     ThetaForm,
+    any_digits,
     ceil_isqrt,
     fingerprint,
     format_rational,
@@ -106,34 +108,16 @@ class BestApproxSequence:
 
 
 def _box(basis: list[list[int]], h: int, s: int) -> set[tuple[int, int, int]]:
-    """The canonical classes (|z|, m1, m2) with |m1| <= h, |m2| <= isqrt(h),
-    (m1, m2) != 0 and |z| <= s for some lattice point (m1, m2, z) spanned by
-    the rows of basis. A set: a class with lattice points at z = D/2 and
-    z = -D/2 (when s = D // 2 and D is even) is one class, not a tie.
-
-    _reduce reduces basis in place, the warm start of the next query, on the
-    Gram matrix weighted by w = ((g*s')^2, (h*s')^2, (h*g)^2), g = isqrt(h),
-    s' = max(s, 1): the metric in which the box is a cube.
-    lattice.parallelepiped bounds each coordinate u[i] of a point u*B of the
-    box half = (h, g, s) by |u[i]| <= U_i (Cramer's rule on the adjugate).
-    One of each +-u in that integer parallelepiped is listed and filtered
-    exactly. It held at most 37 points per query on the catalog pairs to
-    M^2 = 2^32, 52 on 120-digit pairs to 2^112, 62 on 340-digit pairs to
-    2^448 and 67 on 700-digit pairs to 2^896."""
-    g = isqrt(h)
-    sp = max(s, 1)
-    _reduce(basis, ((g * sp) ** 2, (h * sp) ** 2, (h * g) ** 2))
-    (_, U0), (_, U1), (_, U2) = parallelepiped(basis, (h, g, s))
-    (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = basis
-    out = set()
-    for u2 in range(U2 + 1):
-        for u1 in range(-U1 if u2 else 0, U1 + 1):
-            p0, p1, p2 = u1 * b0 + u2 * c0, u1 * b1 + u2 * c1, u1 * b2 + u2 * c2
-            for u0 in range(-U0 if u1 or u2 else 1, U0 + 1):
-                m1, m2, z = u0 * a0 + p0, u0 * a1 + p1, u0 * a2 + p2
-                if (m1 or m2) and -h <= m1 <= h and -g <= m2 <= g and -s <= z <= s:
-                    out.add((abs(z), *canonical_class(m1, m2)))
-    return out
+    """The canonical classes (|z|, m1, m2) of the lattice points (m1, m2, z)
+    spanned by basis with |m1| <= h, |m2| <= isqrt(h), |z| <= s, (m1, m2) != 0.
+    A set: a class with points at z = +-D/2 (s = D // 2, D even) is one
+    class, not a tie. box_points lists the half box m2 >= 0, reducing basis
+    in place (the next query's warm start), and the set merges the two
+    signs of m1 it lists at m2 = 0. It listed at most 48 points per query on
+    the catalog pairs to M^2 = 2^32, 36 on a 120-digit pair to 2^112 and 60
+    on 340- and 700-digit pairs to 2^448 and 2^896."""
+    points, _ = box_points(basis, ((-h, h), (0, isqrt(h)), (-s, s)))
+    return {(abs(z), m1 if m2 else abs(m1), m2) for m1, m2, z in points if m1 or m2}
 
 
 def _nearest(n: int, D: int) -> tuple[int, int]:
@@ -157,16 +141,16 @@ def _check_precision(theta: ThetaForm, h: int, zeta: Fraction, H: int) -> None:
     except PrecisionExhausted as e:
         # 10^(2N) > 100*(H + ceil_isqrt(H))^2*H^3 =: X iff 2N >= digits of X
         X = 100 * (H + ceil_isqrt(H)) ** 2 * H**3
-        need = (len(str(X)) + 1) // 2
+        need = (len(any_digits(str, X)) + 1) // 2
         err = theta.declared_error
-        have = len(str(err.denominator // err.numerator)) - 1  # 10^-have >= err
+        # 10^-have >= err
+        have = len(any_digits(str, err.denominator // err.numerator)) - 1
         extra = max(need - have, e.extra_digits or 1)
+        text = ("declared truncation error {} of theta is too coarse: the guard fails at "
+                "height_sq={}, zeta={}; height_sq_max={} needs at least {} decimal digits "
+                "of theta, the declared error gives {}: roughly {} more")
         raise PrecisionExhausted(
-            f"declared truncation error {err} of theta is too coarse: the "
-            f"guard fails at height_sq={h}, zeta={zeta}; height_sq_max={H} "
-            f"needs at least {need} decimal digits of theta, the declared "
-            f"error gives {have}: roughly {extra} more",
-            extra_digits=extra,
+            any_digits(text.format, err, h, zeta, H, need, have, extra), extra_digits=extra
         ) from None
 
 

@@ -1,19 +1,18 @@
 """Exact box queries on 3-D integer lattices.
 
-Both lattice searches of the package ask one question: which points of a
-coset t + L, with L spanned by the three integer rows of a basis B, lie in
-the box |x_j| <= half_j? The record enumerator (bestapprox._box) asks it
-with t = 0 on the lattice of (m1, m2, A1*m1 + A2*m2 + D*m0); verify's
-weighted q-scan (modmin.weighted_min_scan) asks it once per block of q on
-the lattice of (x, a1*x + D*k1, a2*x + D*k2).
+box_points answers the one lattice question of the package: which points
+of the lattice L spanned by the integer rows of a basis B lie in the closed
+box lo_j <= x_j <= hi_j? Record enumeration (bestapprox._box) asks it on
+the lattice of (m1, m2, A1*m1 + A2*m2 + D*m0), verify's q-scan
+(modmin.weighted_min_scan) once per block of q on that of
+(x, a1*x + D*k1, a2*x + D*k2).
 
-The answer is exact for any basis of L. A point t + u*B has
-u = (x - t)*adj(B)/det(B), so over the box each u[i] lies in an interval
-whose centre is -t*adj(B)[:, i]/det and whose radius is
-sum_j |adj(B)[j][i]|*half_j/|det| (Cramer's rule); listing that integer
-parallelepiped and filtering the box exactly finds every point. _reduce
-only keeps the parallelepiped small: it shortens B in the metric in which
-the box is a cube.
+The answer is exact for any basis. A point x = u*B has u = x*adj(B)/det(B),
+so over the box each u[i] lies in an interval with centre c*adj(B)[:, i]/det,
+c the box's centre, and radius sum_j |adj(B)[j][i]|*(hi_j - lo_j)/(2|det|)
+(Cramer's rule); box_points lists that integer parallelepiped and filters
+the box exactly. _reduce only keeps it small: it shortens B in the metric
+in which the box is a cube.
 """
 
 from __future__ import annotations
@@ -35,15 +34,18 @@ def _reduce(b: list[list[int]], w: tuple[int, int, int]) -> None:
 
     def sub(i: int, j: int, q: int) -> None:  # row i -= q * row j
         if q:
-            b[i] = [x - q * y for x, y in zip(b[i], b[j])]
-            G[i][i] += q * q * G[j][j] - 2 * q * G[i][j]
-            for k in {0, 1, 2} - {i}:
-                G[i][k] = G[k][i] = G[i][k] - q * G[j][k]
+            (x0, x1, x2), (y0, y1, y2) = b[i], b[j]
+            b[i] = [x0 - q * y0, x1 - q * y1, x2 - q * y2]
+            Gi, Gj = G[i], G[j]
+            Gi[i] += q * q * Gj[j] - 2 * q * Gi[j]
+            for k in 0, 3 - i:  # the other two rows; i is 1 or 2
+                Gi[k] = G[k][i] = Gi[k] - q * Gj[k]
 
     while True:
         order = sorted(range(3), key=lambda i: G[i][i])
-        b[:] = [b[i] for i in order]
-        G[:] = [[G[i][j] for j in order] for i in order]
+        if order != [0, 1, 2]:
+            b[:] = [b[i] for i in order]
+            G[:] = [[G[i][j] for j in order] for i in order]
         if 2 * abs(G[1][0]) > G[0][0]:
             sub(1, 0, (2 * G[1][0] + G[0][0]) // (2 * G[0][0]))
             continue
@@ -56,50 +58,46 @@ def _reduce(b: list[list[int]], w: tuple[int, int, int]) -> None:
             return
 
 
-def parallelepiped(
-    b: list[list[int]], half: tuple[int, int, int], t: tuple[int, int, int] = (0, 0, 0)
-) -> tuple[tuple[int, int], tuple[int, int], tuple[int, int]]:
-    """The integer ranges (lo_i, hi_i), i = 0, 1, 2, that hold u[i] for every
-    point t + u*b in the box |x_j| <= half_j. The column of adj(b) that gives
-    u[i] is the cross product of the other two rows. With t = 0 each range
-    is symmetric, (-U_i, U_i)."""
+def box_points(
+    b: list[list[int]], box: tuple[tuple[int, int], tuple[int, int], tuple[int, int]]
+) -> tuple[list[tuple[int, int, int]], int]:
+    """Every point of the lattice spanned by the rows of b in the closed box
+    ((lo_0, hi_0), (lo_1, hi_1), (lo_2, hi_2)), each once, and the number of
+    parallelepiped points listed to find them. b is reduced in place, the
+    caller's warm start for its next query, on the cube metric's weights
+    ((w1*w2)^2, (w0*w2)^2, (w0*w1)^2), w_j = max(hi_j - lo_j, 1). Twice the
+    centre keeps the bounds integral: with r = sum_j |adj[j][i]|*(hi_j - lo_j)
+    and n = sign(det)*sum_j adj[j][i]*(lo_j + hi_j), u[i] runs over
+    [-((r - n) // 2|det|), (r + n) // 2|det|]."""
+    (l0, h0), (l1, h1), (l2, h2) = box
+    d0, d1, d2 = h0 - l0, h1 - l1, h2 - l2
+    w0, w1, w2 = max(d0, 1), max(d1, 1), max(d2, 1)
+    _reduce(b, ((w1 * w2) ** 2, (w0 * w2) ** 2, (w0 * w1) ** 2))
     (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = b
-    h0, h1, h2 = half
-    t0, t1, t2 = t
     # the columns of adj(b): (b x c, c x a, a x b)
     x0, x1, x2 = b1 * c2 - b2 * c1, b2 * c0 - b0 * c2, b0 * c1 - b1 * c0
     y0, y1, y2 = c1 * a2 - c2 * a1, c2 * a0 - c0 * a2, c0 * a1 - c1 * a0
     z0, z1, z2 = a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0
     det = a0 * x0 + a1 * x1 + a2 * x2
-    sign = 1 if det > 0 else -1
-    det *= sign
+    e0, e1, e2 = l0 + h0, l1 + h1, l2 + h2
+    nx = x0 * e0 + x1 * e1 + x2 * e2
+    ny = y0 * e0 + y1 * e1 + y2 * e2
+    nz = z0 * e0 + z1 * e1 + z2 * e2
+    if det < 0:
+        det, nx, ny, nz = -det, -nx, -ny, -nz
+    two = 2 * det
+    r = abs(x0) * d0 + abs(x1) * d1 + abs(x2) * d2
+    lx, ux = -((r - nx) // two), (r + nx) // two
+    r = abs(y0) * d0 + abs(y1) * d1 + abs(y2) * d2
+    ly, uy = -((r - ny) // two), (r + ny) // two
+    r = abs(z0) * d0 + abs(z1) * d1 + abs(z2) * d2
+    lz, uz = -((r - nz) // two), (r + nz) // two
     out = []
-    for p0, p1, p2 in (x0, x1, x2), (y0, y1, y2), (z0, z1, z2):
-        r = abs(p0) * h0 + abs(p1) * h1 + abs(p2) * h2
-        n = -sign * (p0 * t0 + p1 * t1 + p2 * t2)  # det * the interval's centre
-        out.append((-((r - n) // det), (r + n) // det))
-    return tuple(out)
-
-
-def coset_points(
-    b: list[list[int]], t: tuple[int, int, int], half: tuple[int, int, int]
-) -> tuple[list[tuple[int, int, int]], int]:
-    """Every point of the coset t + L, L spanned by the rows of b, in the box
-    |x_j| <= half_j, each once, and the number of parallelepiped points
-    listed to find them."""
-    (l0, u0), (l1, u1), (l2, u2) = parallelepiped(b, half, t)
-    (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = b
-    h0, h1, h2 = half
-    t0, t1, t2 = t
-    out = []
-    for k2 in range(l2, u2 + 1):
-        for k1 in range(l1, u1 + 1):
-            p0 = t0 + k1 * b0 + k2 * c0
-            p1 = t1 + k1 * b1 + k2 * c1
-            p2 = t2 + k1 * b2 + k2 * c2
-            for k0 in range(l0, u0 + 1):
-                x0, x1, x2 = p0 + k0 * a0, p1 + k0 * a1, p2 + k0 * a2
-                if -h0 <= x0 <= h0 and -h1 <= x1 <= h1 and -h2 <= x2 <= h2:
-                    out.append((x0, x1, x2))
-    listed = max(0, u0 - l0 + 1) * max(0, u1 - l1 + 1) * max(0, u2 - l2 + 1)
-    return out, listed
+    for k2 in range(lz, uz + 1):
+        for k1 in range(ly, uy + 1):
+            p0, p1, p2 = k1 * b0 + k2 * c0, k1 * b1 + k2 * c1, k1 * b2 + k2 * c2
+            for k0 in range(lx, ux + 1):
+                v0, v1, v2 = p0 + k0 * a0, p1 + k0 * a1, p2 + k0 * a2
+                if l0 <= v0 <= h0 and l1 <= v1 <= h1 and l2 <= v2 <= h2:
+                    out.append((v0, v1, v2))
+    return out, (ux - lx + 1) * (uy - ly + 1) * (uz - lz + 1)

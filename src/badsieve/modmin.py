@@ -10,10 +10,10 @@ max(q^2 d1^3, q d2^3) over 1 <= q <= Q, d1 and d2 the distances of
 (a1*q + c1) % m and (a2*q + c2) % m from 0, without scoring every q. It
 splits (1, Q] into blocks of q. In a block only a q with both distances
 below bounds that icbrt computes from the running minimum can set a
-record, and those q are the points of a coset of the 3-D lattice spanned
-by (1, a1, a2), (0, m, 0) and (0, 0, m) in a box: one exact box query of
-the lattice module per block, sized to hold a few lattice points, lists
-them and only they are scored. No float enters.
+record, and those q are lo + x for the points (x, y1, y2) of the 3-D
+lattice spanned by (1, a1, a2), (0, m, 0) and (0, 0, m) in a box: one
+exact box query of the lattice module per block, sized to hold a few
+lattice points, lists them and only they are scored. No float enters.
 
 first_reaching runs a Euclidean descent: the modulus at least halves per
 step, so the cost is O(log m) big-integer operations regardless of how wild
@@ -26,7 +26,7 @@ the benchmark's tracer wraps the name.
 
 from __future__ import annotations
 
-from .lattice import _reduce, coset_points
+from .lattice import box_points
 
 
 def first_reaching(a: int, c: int, m: int, s: int, limit: int):
@@ -109,22 +109,21 @@ def weighted_min_scan(
     every strict running-minimum record (q, value) in increasing q, stopping
     at the first exact 0. These are the records a scan of every q finds.
     A dict passed as counts receives the scan's work: blocks (box queries),
-    listed (parallelepiped points listed) and scored (q scored, q = 1 too).
+    listed (parallelepiped points listed for the blocks' boxes) and scored
+    (q scored, q = 1 too).
 
     q = 1 is scored directly; then the blocks lo <= q <= hi run from lo = 2
     up to Q. With best the running minimum when a block starts, a q in it
     sets a strict new record only if q^2 d1^3 < best and q d2^3 < best, so
     d1 <= s1 = icbrt((best - 1) // lo^2) and d2 <= s2 = icbrt((best - 1) // lo).
-    With the block's centre qc and half-width h, those q are qc + x for the
-    points (x, y1, y2) of the coset (0, t1, t2) + L in the box |x| <= h,
-    |y1| <= s1, |y2| <= s2, where L is spanned by (1, a1, a2), (0, m, 0),
-    (0, 0, m) and ti = (ai*qc + ci) % m, centred into (-m/2, m/2]. The basis
-    of L is reduced on the weights that make the box a cube, warm-started
-    from the previous block's basis (L never changes), and the coset's
-    points in the box are listed exactly and scored exactly in increasing
-    q. best only falls inside a block, so the box holds every q that could
-    set a record. q = 1 scores at most (m // 2)^3, so s1 and s2 stay below
-    m / 2 and each q is one point of the box.
+    Those q are lo + x for the points (x, y1, y2) of the lattice L spanned
+    by (1, a1, a2), (0, m, 0), (0, 0, m) in the box 0 <= x <= hi - lo,
+    |yi + ri| <= si, ri = (ai*lo + ci) % m centred into (-m/2, m/2].
+    lattice.box_points lists them, its basis warm-started from the previous
+    block's (L never changes), and they are scored exactly in increasing q.
+    best only falls inside a block, so the box holds every q that could set
+    a record. q = 1 scores at most (m // 2)^3, so s1 and s2 stay below m / 2
+    and each q is one point of the box.
 
     q + m has the distances of q and a larger score, so the scan stops at
     min(Q, m). A block is about 4*m^2 / ((2*s1 + 1)*(2*s2 + 1)) wide, so
@@ -160,15 +159,12 @@ def weighted_min_scan(
         s1 = icbrt((best - 1) // (lo * lo))
         s2 = icbrt((best - 1) // lo)
         hi = min(Q, lo - 1 + max(1, 4 * m * m // ((2 * s1 + 1) * (2 * s2 + 1))))
-        qc = (lo + hi) // 2
-        h = hi - qc
-        t = (0, centred(a1 * qc + c1), centred(a2 * qc + c2))
-        hw, w1, w2 = max(h, 1), max(s1, 1), max(s2, 1)
-        _reduce(basis, ((w1 * w2) ** 2, (hw * w2) ** 2, (hw * w1) ** 2))
-        points, n = coset_points(basis, t, (h, s1, s2))
+        r1, r2 = centred(a1 * lo + c1), centred(a2 * lo + c2)
+        box = (0, hi - lo), (-s1 - r1, s1 - r1), (-s2 - r2, s2 - r2)
+        points, n = box_points(basis, box)
         blocks += 1
         listed += n
-        for q in sorted(qc + x for x, _, _ in points if qc + x >= lo):
+        for q in sorted(lo + x for x, _, _ in points):
             scored += 1
             cubed = score(q)
             if cubed < best:

@@ -12,11 +12,29 @@ exactly, "p/q" strings parse exactly, and formatting always emits canonical
 from __future__ import annotations
 
 import hashlib
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
 from .errors import ConfigError, PrecisionExhausted
+
+
+def any_digits(convert, *args):
+    """convert(*args), a conversion between int and decimal text, for any
+    number of digits. Python 3.10.7+ refuses one past 4300 digits by default
+    with a ValueError; only then is that limit lifted, for this one call."""
+    try:
+        return convert(*args)
+    except ValueError:
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if not limit:
+            raise
+        sys.set_int_max_str_digits(0)
+        try:
+            return convert(*args)
+        finally:
+            sys.set_int_max_str_digits(limit)
 
 
 def parse_rational(text: str) -> Fraction:
@@ -29,14 +47,17 @@ def parse_rational(text: str) -> Fraction:
     if "e" in text.lower():
         raise ConfigError(f"exponent notation is not accepted: {text!r}")
     try:
-        return Fraction(text.strip())
+        return any_digits(Fraction, text.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise ConfigError(f"not an exact rational: {text!r}") from exc
 
 
 def format_rational(x: Fraction) -> str:
     """Canonical 'p/q' form, denominator always explicit."""
-    return f"{x.numerator}/{x.denominator}"
+    try:  # inline, not through any_digits: the writers call this per value
+        return f"{x.numerator}/{x.denominator}"
+    except ValueError:
+        return any_digits(str, x.numerator) + "/" + any_digits(str, x.denominator)
 
 
 def dist_to_nearest_int(x: Fraction) -> Fraction:
@@ -119,13 +140,11 @@ def validate_precision(theta: ThetaForm, height_sq_max: int, zeta_min: Fraction)
     extra = None
     if needed > 0:
         ratio = err / needed
-        extra = len(str(ratio.numerator // ratio.denominator)) if ratio > 1 else 1
-    raise PrecisionExhausted(
-        "declared truncation error too coarse for this height range: "
-        f"zeta_min={zeta_min} <= guard={margin}; "
-        f"roughly {extra} more decimal digits of theta needed",
-        extra_digits=extra,
-    )
+        extra = len(any_digits(str, ratio.numerator // ratio.denominator)) if ratio > 1 else 1
+    text = ("declared truncation error too coarse for this height range: "
+            "zeta_min={} <= guard={}; roughly {} more decimal digits of theta needed")
+    text = any_digits(text.format, zeta_min, margin, extra)
+    raise PrecisionExhausted(text, extra_digits=extra)
 
 
 def fingerprint(text: str) -> str:

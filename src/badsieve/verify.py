@@ -1,7 +1,7 @@
 """Independent checks, and the exact weighted scores verify reports.
 
 bad_theta_score and bad_alpha_beta_score call modmin.weighted_min_scan,
-which lists the q that can set a new running minimum with one coset box
+which lists the q that can set a new running minimum with one lattice box
 query per block of q and scores only those, instead of scoring every q.
 Everything else here is deliberately naive: exhaustive scans in exact integer
 arithmetic, no shared machinery with the clever implementations they audit.
@@ -36,7 +36,8 @@ class ScoreReport:
     only when the score itself is rational (the unweighted linear-form case);
     for the q-weighted scores the cube is the exact object and `score` gives
     a float view of its cube root for display. work holds the fast q-scan's
-    counters (blocks, listed, scored) and takes no part in comparisons.
+    counters (blocks, listed for the blocks' boxes lo <= q <= hi, scored)
+    and takes no part in comparisons.
     """
 
     bound: int

@@ -15,7 +15,6 @@ from badsieve.bestapprox import (
     BestApproxSequence,
     BestApproxVector,
     _box,
-    _reduce,
     audit_growth,
     audit_minkowski,
     canonical_class,
@@ -29,6 +28,7 @@ from badsieve.errors import (
     DegenerateForm,
     PrecisionExhausted,
 )
+from badsieve.lattice import _reduce
 from badsieve.rationals import ThetaForm, ceil_isqrt, form_value
 from badsieve.verify import brute_best_approx
 
@@ -201,27 +201,18 @@ def test_weighted_reduction_equals_scaled_reduction():
 
 
 def _listing_sizes(monkeypatch, theta, H, limit):
-    """Enumerate to H and return, for each box query, the number of points
-    its dual-bound parallelepiped lists (one of each +-u, u != 0), recomputed
-    from the basis the query's reduction leaves as _box computes the bounds.
-    A query over limit fails at once, before _box lists it."""
-    box, reduce = bestapprox._box, bestapprox._reduce
-    sizes, query = [], []
+    """Enumerate to H and return, for each box query, the number of
+    parallelepiped points lattice.box_points listed for it, as bestapprox
+    calls it. A query over limit fails at once."""
+    box_points, sizes = bestapprox.box_points, []
 
-    def boxed(basis, h, s):
-        query[:] = [h, s]
-        return box(basis, h, s)
+    def listed(b, box):
+        points, n = box_points(b, box)
+        sizes.append(n)
+        assert n <= limit, f"box query {box} lists {n} points"
+        return points, n
 
-    def reduced(b, w):
-        h, s = query
-        reduce(b, w)
-        det = abs(_det3(b))
-        U = [sum(abs(c) * r for c, r in zip(col, (h, isqrt(h), s))) // det for col in _adj(b)]
-        sizes.append(((2 * U[0] + 1) * (2 * U[1] + 1) * (2 * U[2] + 1) - 1) // 2)
-        assert sizes[-1] <= limit, f"box query h={h}, s={s} lists {sizes[-1]} points"
-
-    monkeypatch.setattr(bestapprox, "_box", boxed)
-    monkeypatch.setattr(bestapprox, "_reduce", reduced)
+    monkeypatch.setattr(bestapprox, "box_points", listed)
     enumerate_best_approx(theta, H)
     return sizes
 
@@ -229,12 +220,12 @@ def _listing_sizes(monkeypatch, theta, H, limit):
 @pytest.mark.parametrize(
     "theta, H",
     [(get_entry(name).theta, 2**32) for name in ("sqrt2-sqrt3", "golden-pair", "liouville")]
-    + [(sqrt_pair_truncated(120), 2**112)],
-    ids=["sqrt2-sqrt3", "golden-pair", "liouville", "sqrt2-sqrt3@120"],
+    + [(sqrt_pair_truncated(120), 2**112), (sqrt_pair_truncated(340), 2**448)],
+    ids=["sqrt2-sqrt3", "golden-pair", "liouville", "sqrt2-sqrt3@120", "sqrt2-sqrt3@340"],
 )
 def test_box_listing_stays_small(monkeypatch, theta, H):
     # records stay exact whatever basis _box reduces to, so only the
-    # listing's size shows a reduction in the wrong metric; at most 37
+    # listing's size shows a reduction in the wrong metric; at most 60
     # points per query were measured on these pairs
     assert _listing_sizes(monkeypatch, theta, H, limit=64)
 

@@ -83,15 +83,14 @@ def test_scan_listing_stays_small(monkeypatch, Q):
     # the records are exact whatever the blocks hold, so only the listing's
     # size shows a reduction in the wrong metric or a block sized wrongly;
     # at most 24 points per block were measured on these twelve scans
-    sizes = []
+    box_points, sizes = modmin.box_points, []
 
-    def listed(b, t, half):
-        points, n = coset_points(b, t, half)
+    def listed(b, box):
+        points, n = box_points(b, box)
         sizes.append(n)
         return points, n
 
-    coset_points = modmin.coset_points
-    monkeypatch.setattr(modmin, "coset_points", listed)
+    monkeypatch.setattr(modmin, "box_points", listed)
     cfg = SieveConfig(R=16, depth=2, policy="random", seed=0)
     for name in catalog_names():
         theta = get_entry(name).theta
@@ -99,6 +98,17 @@ def test_scan_listing_stays_small(monkeypatch, Q):
         for eta in cert.eta, (Fraction(0), Fraction(0)):
             _weighted_score(theta.theta1, theta.theta2, *eta, Q)
     assert sizes and max(sizes) <= 64
+
+
+def test_scan_last_block_is_the_modulus():
+    # a homogeneous scan to Q = D whose last block is the single q = D: its
+    # box is symmetric about the origin, which is the exact zero at q = D
+    t1, t2 = Fraction(54, 113), Fraction(42, 113)
+    zero = Fraction(0)
+    assert _blocks(t1, t2, zero, zero, 113)[-1] == (113, 113)
+    rep = _weighted_score(t1, t2, zero, zero, 113)
+    assert rep.score_cubed == 0 and rep.argmin == 113
+    assert rep == linear_weighted_min_scan(t1, t2, zero, zero, 113)
 
 
 def test_scan_stops_at_the_modulus():

@@ -3,6 +3,7 @@ record, the representation they replace; and strings from a parsed file."""
 
 import dataclasses
 import json
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
@@ -10,16 +11,16 @@ from math import isqrt
 import pytest
 from hypothesis import Phase, given, reject, settings, strategies as st
 
-from badsieve.bestapprox import TYPE1, TYPE2, enumerate_best_approx
+from badsieve.bestapprox import TYPE1, TYPE2, enumerate_best_approx, sequence_fingerprint
 from badsieve.catalog import get_entry
-from badsieve.errors import BadSieveError, ConfigError
+from badsieve.errors import BadSieveError, ConfigError, PrecisionExhausted
 from badsieve.journal import (
     certificate_json,
     journal_text,
     parse_certificate,
     parse_journal,
 )
-from badsieve.rationals import ThetaForm
+from badsieve.rationals import ThetaForm, theta_fingerprint
 from badsieve.sieve import (
     Certificate,
     DangerStats,
@@ -275,3 +276,41 @@ def test_parse_certificate_rejects_impossible_score(cubed):
     assert forged != text
     with pytest.raises(ConfigError, match="'score_cubed'"):
         parse_certificate(forged)
+
+
+@pytest.fixture
+def default_digit_limit():
+    """Python's default limit of 4300 digits on int/str conversion (3.10.7+),
+    which cli.main lifts for the rest of the process."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+def test_numbers_past_the_digit_limit(default_digit_limit):
+    # a 4,400-digit pair through the library alone: both fingerprints (the
+    # same as with the limit lifted for the whole process), a certificate
+    # and journal that re-parse to their own bytes, and a precision error
+    # that formats its message
+    theta = _sqrt_pair(4400)
+    seq = enumerate_best_approx(theta, 2**32)
+    assert len(seq.vectors) == 42
+    assert sequence_fingerprint(seq) == "sha256:7bc918f1d35904f248f314bcb9a5213f"
+    assert theta_fingerprint(theta) == "sha256:9c65555e13740cf699370bc864d29413"
+    cfg = SieveConfig(R=16, depth=1)
+    cert, journal = run_sieve(theta, cfg, enumerate_best_approx(theta, cfg.height_sq_bound()))
+    text = certificate_json(cert)
+    assert parse_certificate(text) == cert
+    assert certificate_json(parse_certificate(text)) == text
+    assert parse_journal(journal_text(journal))[0] == theta
+    coarse = ThetaForm(theta.theta1, theta.theta2, Fraction(1, 10**20))
+    with pytest.raises(PrecisionExhausted, match="needs at least"):
+        enumerate_best_approx(coarse, 2**32)
+    if hasattr(sys, "get_int_max_str_digits"):
+        assert sys.get_int_max_str_digits() == 4300  # lifted only per call

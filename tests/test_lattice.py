@@ -1,20 +1,7 @@
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from badsieve.lattice import _reduce, coset_points
-
-
-def _naive_coset_box(a1, a2, D, t, half):
-    """Every (x, y1, y2) with |x| <= h, yi = ti + ai*x (mod D) and
-    |yi| <= si, found by walking x and each congruence class."""
-    h, s1, s2 = half
-    out = []
-    for x in range(-h, h + 1):
-        ys = []
-        for ti, ai, si in (t[1], a1, s1), (t[2], a2, s2):
-            y = -si + (ti + ai * x + si) % D  # least y >= -si in the class
-            ys.append(range(y, si + 1, D))
-        out.extend((x, y1, y2) for y1 in ys[0] for y2 in ys[1])
-    return sorted(out)
+from badsieve.lattice import box_points
 
 
 def _det3(b):
@@ -22,40 +9,87 @@ def _det3(b):
     return a * (e * i - f * h) - b_ * (d * i - f * g) + c * (d * h - e * g)
 
 
-@settings(max_examples=200, deadline=None)
+def _class(lo, hi, r, D):
+    """The integers in [lo, hi] congruent to r mod D."""
+    return range(lo + (r - lo) % D, hi + 1, D)
+
+
+def _naive(kind, a1, a2, D, box):
+    """Every point in box of the enumerator's lattice, the (m1, m2, z) with
+    z = a1*m1 + a2*m2 (mod D), or of the scan's, the (x, y1, y2) with
+    yi = ai*x (mod D), by walking the box's free coordinates and each
+    congruence class."""
+    (l0, h0), (l1, h1), (l2, h2) = box
+    if kind == "records":
+        return sorted(
+            (m1, m2, z)
+            for m1 in range(l0, h0 + 1)
+            for m2 in range(l1, h1 + 1)
+            for z in _class(l2, h2, a1 * m1 + a2 * m2, D)
+        )
+    return sorted(
+        (x, y1, y2)
+        for x in range(l0, h0 + 1)
+        for y1 in _class(l1, h1, a1 * x, D)
+        for y2 in _class(l2, h2, a2 * x, D)
+    )
+
+
+def _interval(bound):
+    """A closed interval inside [-bound, bound]: any, one of zero width,
+    or only 0, so that boxes miss the origin, are flat on any axis, or hold
+    only the origin."""
+    end = st.integers(-bound, bound)
+    return st.one_of(
+        st.tuples(end, end).map(sorted).map(tuple),
+        end.map(lambda x: (x, x)),
+        st.just((0, 0)),
+    )
+
+
+@settings(max_examples=150, deadline=None)
 @given(
+    kind=st.sampled_from(["records", "scan"]),
     D=st.one_of(st.integers(1, 40), st.integers(1, 10**6), st.integers(1, 10**12)),
+    a1=st.integers(0, 10**12),
+    a2=st.integers(0, 10**12),
     data=st.data(),
-    blocks=st.lists(
-        st.tuples(
-            st.one_of(st.just(0), st.integers(0, 200)),
-            st.sampled_from(["zero", "random", "half"]),
-            st.sampled_from(["zero", "random", "half"]),
-            st.integers(0, 10**12),
-            st.integers(0, 10**12),
-            st.integers(0, 10**12),
-            st.integers(0, 10**12),
-        ),
-        min_size=1,
-        max_size=5,
-    ),
 )
-def test_coset_listing_matches_naive_listing(D, data, blocks):
-    # the scan's lattice (x, a1*x + D*k1, a2*x + D*k2), several boxes
-    # chained on one warm basis as consecutive blocks use it, each reduced
-    # on the scan's weights; with D even, s = D // 2 reaches y = +-D/2
-    a1 = data.draw(st.integers(0, D - 1))
-    a2 = data.draw(st.integers(0, D - 1))
-    basis = [[1, a1, a2], [0, D, 0], [0, 0, D]]
-    for h, kind1, kind2, r1, r2, u1, u2 in blocks:
-        s1, s2 = ({"zero": 0, "random": r % (D // 2 + 1), "half": D // 2}[k]
-                  for k, r in ((kind1, r1), (kind2, r2)))
-        t = (0, u1 % D - D // 2, u2 % D - D // 2)
-        w1, w2, hw = max(s1, 1), max(s2, 1), max(h, 1)
-        _reduce(basis, ((w1 * w2) ** 2, (hw * w2) ** 2, (hw * w1) ** 2))
-        points, listed = coset_points(basis, t, (h, s1, s2))
-        assert sorted(points) == _naive_coset_box(a1, a2, D, t, (h, s1, s2))
+def test_box_points_match_naive_listing(kind, D, a1, a2, data):
+    # the enumerator's rows [1, 0, a1], [0, 1, a2], [0, 0, D] and the
+    # scan's [1, a1, a2], [0, D, 0], [0, 0, D], several boxes chained on one
+    # warm basis as consecutive queries use it
+    a1, a2 = a1 % D, a2 % D
+    if kind == "records":
+        basis = [[1, 0, a1], [0, 1, a2], [0, 0, D]]
+        free = (200, 12)
+    else:
+        basis = [[1, a1, a2], [0, D, 0], [0, 0, D]]
+        free = (200,)
+    bounds = free + (2 * D,) * (3 - len(free))
+    boxes = st.lists(st.tuples(*map(_interval, bounds)), min_size=1, max_size=5)
+    for box in data.draw(boxes):
+        points, listed = box_points(basis, box)
+        assert sorted(points) == _naive(kind, a1, a2, D, box)
         assert len(points) <= listed
-        # the reduced rows still span the lattice, whose covolume is D^2
-        assert all((y1 - a1 * x) % D == 0 == (y2 - a2 * x) % D for x, y1, y2 in basis)
-        assert abs(_det3(basis)) == D * D
+        # the reduced rows are still points of the lattice and have its
+        # covolume, so they still span it
+        if kind == "records":
+            assert all((z - a1 * m1 - a2 * m2) % D == 0 for m1, m2, z in basis)
+            assert abs(_det3(basis)) == D
+        else:
+            assert all((y1 - a1 * x) % D == 0 == (y2 - a2 * x) % D for x, y1, y2 in basis)
+            assert abs(_det3(basis)) == D * D
+
+
+@pytest.mark.parametrize(
+    "basis, box",
+    [([[1, 0, 1], [0, 1, 10**6], [0, 0, 10**12 + 39]], ((0, 0), (0, 0), (0, 0))),
+     ([[1, 0, 10**7], [0, 1, 10**6], [0, 0, 10**12 + 39]], ((-1, 1), (0, 0), (-10**5, 10**5))),
+     ([[1, 3, 10**11], [0, 10**12 + 39, 0], [0, 0, 10**12 + 39]], ((0, 0), (-5, 5), (-5, 5)))],
+)
+def test_box_holding_only_the_origin(basis, box):
+    # boxes symmetric about the origin, flat on some axes, that hold no
+    # other lattice point
+    points, listed = box_points(basis, box)
+    assert points == [(0, 0, 0)] and listed >= 1
