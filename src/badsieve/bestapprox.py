@@ -43,7 +43,9 @@ from .modmin import first_reaching  # noqa: F401
 from .rationals import (
     ThetaForm,
     any_digits,
+    brief_rational,
     ceil_isqrt,
+    decimal_digits,
     fingerprint,
     format_rational,
     validate_precision,
@@ -141,17 +143,18 @@ def _check_precision(theta: ThetaForm, h: int, zeta: Fraction, H: int) -> None:
     except PrecisionExhausted as e:
         # 10^(2N) > 100*(H + ceil_isqrt(H))^2*H^3 =: X iff 2N >= digits of X
         X = 100 * (H + ceil_isqrt(H)) ** 2 * H**3
-        need = (len(any_digits(str, X)) + 1) // 2
+        need = (decimal_digits(X) + 1) // 2
         err = theta.declared_error
         # 10^-have >= err
-        have = len(any_digits(str, err.denominator // err.numerator)) - 1
+        have = decimal_digits(err.denominator // err.numerator) - 1
         extra = max(need - have, e.extra_digits or 1)
         text = ("declared truncation error {} of theta is too coarse: the guard fails at "
                 "height_sq={}, zeta={}; height_sq_max={} needs at least {} decimal digits "
                 "of theta, the declared error gives {}: roughly {} more")
-        raise PrecisionExhausted(
-            any_digits(text.format, err, h, zeta, H, need, have, extra), extra_digits=extra
-        ) from None
+        text = any_digits(
+            text.format, brief_rational(err), h, brief_rational(zeta), H, need, have, extra
+        )
+        raise PrecisionExhausted(text, extra_digits=extra) from None
 
 
 def enumerate_best_approx(theta: ThetaForm, height_sq_max: int) -> BestApproxSequence:

@@ -4,6 +4,13 @@ Subcommands wire the library modules together and map every failure mode to
 a stable exit code (EXIT_CODES) so batch runs can be triaged mechanically.
 All emitted numbers are exact "p/q" strings or plain integers; outputs carry
 no timestamps, so identical configs produce identical bytes.
+
+Each subcommand's flags are declared once, by its builder in COMMANDS. A
+call builds only the parser of the subcommand it names (parse_args); the
+parser of all five (build_parser) is built only for -h, a missing or an
+unknown command, and gives the same namespace, help and error text. It makes
+six parsers and 31 add_argument calls where one subcommand needs one parser
+and at most ten, and building parsers, not parsing, is most of the cost.
 """
 
 import argparse
@@ -107,17 +114,14 @@ def _resolve_theta(args) -> ThetaForm:
     raise ConfigError("a theta source is required: --catalog NAME or --theta T1,T2")
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="badsieve")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("best-approx", help="enumerate best approximation vectors")
+def _best_approx_flags(p):
     _add_theta_flags(p)
     p.add_argument("--bound", type=int, required=True, help="height_sq ceiling M^2")
     p.add_argument("--out", default="sequence.txt", help="sequence file to write")
     p.set_defaults(func=cmd_best_approx)
 
-    p = sub.add_parser("construct", help="run the full nested-rectangle descent")
+
+def _construct_flags(p):
     _add_theta_flags(p)
     p.add_argument("--R", type=int)
     p.add_argument("--depth", type=int)
@@ -127,7 +131,8 @@ def build_parser() -> _Parser:
     p.add_argument("--resume", help="earlier journal this run's journal must extend")
     p.set_defaults(func=cmd_construct)
 
-    p = sub.add_parser("verify", help="recheck a certificate from scratch")
+
+def _verify_flags(p):
     p.add_argument("certificate", help="certificate JSON file")
     p.add_argument("--Q", type=int, default=10**5, help="scan bound for the scores")
     p.add_argument(
@@ -136,18 +141,49 @@ def build_parser() -> _Parser:
     p.add_argument("--out", help="verified copy path (default: *.verified.json)")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("crosscheck", help="run the independent oracles side by side")
+
+def _crosscheck_flags(p):
     _add_theta_flags(p)
     p.add_argument("--bound", type=int, default=3600)
     p.add_argument("--R", type=int, default=8)
     p.add_argument("--depth", type=int, default=3)
     p.set_defaults(func=cmd_crosscheck)
 
-    p = sub.add_parser("catalog", help="built-in theta pairs")
+
+def _catalog_flags(p):
     p.add_argument("action", choices=("list",))
     p.set_defaults(func=cmd_catalog)
 
+
+# subcommand -> (help line, flag builder); the only place flags are declared
+COMMANDS = {
+    "best-approx": ("enumerate best approximation vectors", _best_approx_flags),
+    "construct": ("run the full nested-rectangle descent", _construct_flags),
+    "verify": ("recheck a certificate from scratch", _verify_flags),
+    "crosscheck": ("run the independent oracles side by side", _crosscheck_flags),
+    "catalog": ("built-in theta pairs", _catalog_flags),
+}
+
+
+def build_parser() -> _Parser:
+    """The parser of every subcommand, for -h and for a first argument that
+    names none of them."""
+    parser = _Parser(prog="badsieve")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_line, add_flags) in COMMANDS.items():
+        add_flags(sub.add_parser(name, help=help_line))
     return parser
+
+
+def parse_args(argv: list[str]) -> argparse.Namespace:
+    """build_parser().parse_args(argv), building only the named subcommand's
+    parser when argv starts with one: the same prog, flags and messages,
+    without the other subcommands' parsers."""
+    if argv and argv[0] in COMMANDS:
+        parser = _Parser(prog=f"badsieve {argv[0]}")
+        COMMANDS[argv[0]][1](parser)
+        return parser.parse_args(argv[1:])
+    return build_parser().parse_args(argv)
 
 
 def cmd_best_approx(args) -> int:
@@ -419,10 +455,13 @@ def cmd_catalog(args) -> int:
 
 def main(argv=None) -> int:
     # exact numbers may have any number of digits; Python 3.10.7+ limits
-    # int/str conversion to 4300 digits by default
-    getattr(sys, "set_int_max_str_digits", lambda n: None)(0)
+    # int/str conversion to 4300 digits by default. The limit is lifted for
+    # this call and the caller's value put back when it returns.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
     try:
-        args = build_parser().parse_args(argv)
+        args = parse_args(sys.argv[1:] if argv is None else list(argv))
         code = args.func(args)
         sys.stdout.flush()
         return code
@@ -445,6 +484,9 @@ def main(argv=None) -> int:
     except (ConfigError, NoBaseFound, IncompleteSequence, OSError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CODES["config"]
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -60,6 +60,32 @@ def format_rational(x: Fraction) -> str:
         return any_digits(str, x.numerator) + "/" + any_digits(str, x.denominator)
 
 
+def decimal_digits(n: int) -> int:
+    """Number of decimal digits of n >= 0, counted in integers: the least
+    k >= 1 with n < 10^k. Starts from a lower bound taken from the bit
+    length, since log10(2) > 0.30102."""
+    k = max(1, (n.bit_length() - 1) * 30102 // 100000 + 1)
+    while n >= 10**k:
+        k += 1
+    return k
+
+
+def brief_rational(x: Fraction) -> str:
+    """str(x) while that text has at most 1,000 characters, for error
+    messages. Above that, numerator and denominator each show their leading
+    20 digits and their digit count, as in
+    '70710678118654752440...(4400 digits)/10000000000000000000...(4401 digits)'."""
+    sign = "-" if x < 0 else ""
+    parts = [abs(x.numerator)] + ([x.denominator] if x.denominator != 1 else [])
+    counts = [decimal_digits(n) for n in parts]
+    if len(sign) + sum(counts) + len(parts) - 1 <= 1000:
+        return str(x)
+    return sign + "/".join(
+        f"{n // 10 ** (k - 20)}...({k} digits)" if k > 20 else str(n)
+        for n, k in zip(parts, counts)
+    )
+
+
 def dist_to_nearest_int(x: Fraction) -> Fraction:
     """||x||: distance from x to the nearest integer. Always in [0, 1/2]."""
     r = x - (x.numerator // x.denominator)  # x mod 1, in [0, 1)
@@ -140,10 +166,10 @@ def validate_precision(theta: ThetaForm, height_sq_max: int, zeta_min: Fraction)
     extra = None
     if needed > 0:
         ratio = err / needed
-        extra = len(any_digits(str, ratio.numerator // ratio.denominator)) if ratio > 1 else 1
+        extra = decimal_digits(ratio.numerator // ratio.denominator) if ratio > 1 else 1
     text = ("declared truncation error too coarse for this height range: "
             "zeta_min={} <= guard={}; roughly {} more decimal digits of theta needed")
-    text = any_digits(text.format, zeta_min, margin, extra)
+    text = text.format(brief_rational(zeta_min), brief_rational(margin), extra)
     raise PrecisionExhausted(text, extra_digits=extra)
 
 

@@ -1,4 +1,5 @@
 import signal
+import sys
 from fractions import Fraction
 from math import isqrt
 
@@ -95,3 +96,18 @@ def sqrt_pair_truncated(digits: int) -> ThetaForm:
         Fraction(isqrt(3 * S * S) - S, S),
         Fraction(1, S),
     )
+
+
+@pytest.fixture
+def default_digit_limit():
+    """Python's default limit of 4300 digits on int/str conversion (3.10.7+)
+    for the test, whatever the process had set before."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)

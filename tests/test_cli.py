@@ -681,3 +681,119 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert "sqrt2-sqrt3" in proc.stdout
+
+
+# One argv per subcommand with its defaults, one with every flag given.
+PARSE_CASES = [
+    ["best-approx", "--catalog", "golden-pair", "--bound", "100"],
+    ["best-approx", "--theta", "1/3,1/7", "--theta-error", "1/1000", "--bound", "5",
+     "--out", "s.txt"],
+    ["construct", "--catalog", "liouville", "--R", "16", "--depth", "4"],
+    ["construct", "--theta", "0.4,1/3", "--theta-error", "0", "--R", "8", "--depth", "2",
+     "--policy", "random", "--seed", "3", "--out", "d", "--resume", "j.jsonl"],
+    ["verify", "c.json"],
+    ["verify", "c.json", "--Q", "1000", "--trace", "--out", "v.json"],
+    ["crosscheck"],
+    ["crosscheck", "--catalog", "golden-pair", "--bound", "400", "--R", "5", "--depth", "3"],
+    ["catalog", "list"],
+]
+
+
+@pytest.mark.parametrize("argv", PARSE_CASES, ids=" ".join)
+def test_command_parser_matches_full_parser(argv):
+    full = vars(cli.build_parser().parse_args(argv))
+    assert full.pop("command") == argv[0]
+    assert vars(cli.parse_args(argv)) == full
+
+
+@pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+def test_command_help_matches_full_parser(command, capsys):
+    with pytest.raises(SystemExit) as full:
+        cli.build_parser().parse_args([command, "-h"])
+    expected = capsys.readouterr()
+    with pytest.raises(SystemExit) as fast:
+        main([command, "-h"])
+    assert capsys.readouterr() == expected
+    assert full.value.code == fast.value.code == 0
+    assert expected.out.startswith(f"usage: badsieve {command} [-h]")
+
+
+def test_top_level_help_lists_every_command(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["-h"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: badsieve [-h]")
+    for name, (help_line, _) in cli.COMMANDS.items():
+        assert re.search(rf"^\s+{name}\s+{help_line}$", out, re.M)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bogus"],
+        [],
+        ["construct", "--catalog", "golden-pair", "--R", "4", "--depth", "2",
+         "--threads", "3"],
+        ["construct", "--catalog", "golden-pair", "--R", "4", "--depth", "2",
+         "--policy", "best"],
+        ["best-approx", "--catalog", "golden-pair"],
+        ["catalog", "show"],
+    ],
+    ids=" ".join,
+)
+def test_parse_errors_match_full_parser(argv, capsys):
+    with pytest.raises(ConfigError) as full:
+        cli.build_parser().parse_args(argv)
+    with pytest.raises(ConfigError) as fast:
+        cli.parse_args(argv)
+    assert str(fast.value) == str(full.value)
+    assert main(argv) == 5
+    assert capsys.readouterr().err == f"config error: {full.value}\n"
+
+
+def test_a_call_builds_one_parser(small_run, tmp_path, monkeypatch, capsys):
+    built = []
+    init = cli._Parser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+    cli.build_parser()
+    assert len(built) == len(cli.COMMANDS) + 1
+    built.clear()
+    assert run_cli(
+        "construct", "--catalog", "golden-pair", "--R", "4", "--depth", "1",
+        "--out", str(tmp_path),
+    ) == 0
+    assert built == ["badsieve construct"]
+    built.clear()
+    assert run_cli(
+        "verify", str(small_run / "certificate.json"), "--Q", "10",
+        "--out", str(tmp_path / "v.json"),
+    ) == 0
+    assert built == ["badsieve verify"]
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="no int/str digit limit"
+)
+def test_main_restores_digit_limit(default_digit_limit, tmp_path, monkeypatch, capsys):
+    inside = []
+
+    def catalog(args):
+        inside.append(sys.get_int_max_str_digits())
+        return 0
+
+    monkeypatch.setattr(cli, "cmd_catalog", catalog)
+    assert run_cli("catalog", "list") == 0
+    assert inside == [0]  # lifted while the call runs
+    assert sys.get_int_max_str_digits() == 4300
+    assert run_cli("bogus") == 5
+    assert sys.get_int_max_str_digits() == 4300
+    assert run_cli(
+        "best-approx", "--theta", "2/5,1/3", "--bound", "5", "--out", str(tmp_path / "s.txt"),
+    ) == 2
+    assert sys.get_int_max_str_digits() == 4300

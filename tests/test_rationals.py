@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 from badsieve.errors import ConfigError, PrecisionExhausted
 from badsieve.rationals import (
     ThetaForm,
+    brief_rational,
     ceil_isqrt,
+    decimal_digits,
     dist_to_nearest_int,
     form_value,
     format_rational,
@@ -141,3 +143,27 @@ def test_fingerprint_stability_and_sensitivity():
     c = ThetaForm(Q(2, 5), Q(1, 3), declared_error=Q(1, 10**6))
     assert theta_fingerprint(a) == theta_fingerprint(b)
     assert theta_fingerprint(a) != theta_fingerprint(c)
+
+
+@settings(max_examples=200)
+@given(st.integers(min_value=0, max_value=10**2000))
+def test_decimal_digits_matches_str(n):
+    for m in (n, 10 ** decimal_digits(n), 10 ** decimal_digits(n) - 1):
+        assert decimal_digits(m) == len(str(m))
+
+
+def test_brief_rational_full_up_to_1000_characters():
+    at = Q(-(10**499 + 1), 10**497 + 3)  # "-", 500 digits, "/", 498 digits
+    assert len(str(at)) == 1000 and brief_rational(at) == str(at)
+    past = Q(-(10**499 + 1), 10**498 + 3)
+    assert brief_rational(past) == (
+        "-10000000000000000000...(500 digits)/10000000000000000000...(499 digits)"
+    )
+    assert brief_rational(Q(7590)) == "7590"
+    over = Q(10**999 + 1)  # 1000 digits, still in full; one more digit is not
+    assert brief_rational(over) == str(over)
+    assert brief_rational(Q(10**1000)) == "10000000000000000000...(1001 digits)"
+    x = Q(-(2 * 10**700 + 3), 7 * 10**400 - 1)
+    assert brief_rational(x) == (
+        "-20000000000000000000...(701 digits)/69999999999999999999...(401 digits)"
+    )
