@@ -26,8 +26,10 @@ lowers s to its z - 1. The enumerator gallops h = 3*h0, 5*h0, 9*h0, ...
 (capped at the bound) to the first non-empty box and takes every record it
 holds. No float enters, and nothing is done per m2 or per height: the work
 grows with the number of records and gallop steps and with the bit size of
-the numbers. Each record's precision guard, distance check and m0 are
-integer tests over D; a Fraction is built only for an emitted zeta.
+the numbers. Each record's distance check and m0 are integer tests over
+D. Its zeta is built as a Fraction once: rationals.validate_precision, the
+package's one precision guard, checks it before the record's zero and tie
+decisions, and the sequence emits it.
 """
 
 from __future__ import annotations
@@ -36,16 +38,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt, lcm
 
-from .errors import ConfigError, DegenerateForm, PrecisionExhausted
+from .errors import ConfigError, DegenerateForm
 from .lattice import box_points
 # unused here; the benchmark's tracer (perfbench/spans.py) wraps this name
 from .modmin import first_reaching  # noqa: F401
 from .rationals import (
     ThetaForm,
-    any_digits,
-    brief_rational,
-    ceil_isqrt,
-    decimal_digits,
     fingerprint,
     format_rational,
     validate_precision,
@@ -131,32 +129,6 @@ def _nearest(n: int, D: int) -> tuple[int, int]:
     return D - r, -lo - 1
 
 
-def _check_precision(theta: ThetaForm, h: int, zeta: Fraction, H: int) -> None:
-    """validate_precision(theta, h, zeta), failing with the digits of theta
-    that the requested bound H needs: the least N with
-    10^N > 10*(H + ceil_isqrt(H))*H^(3/2). Some class of height <= H has
-    zeta <= H^(-3/2) (Minkowski), so a declared error 10^-d passes the guard
-    at H only when d >= N.
-    """
-    try:
-        validate_precision(theta, h, zeta)
-    except PrecisionExhausted as e:
-        # 10^(2N) > 100*(H + ceil_isqrt(H))^2*H^3 =: X iff 2N >= digits of X
-        X = 100 * (H + ceil_isqrt(H)) ** 2 * H**3
-        need = (decimal_digits(X) + 1) // 2
-        err = theta.declared_error
-        # 10^-have >= err
-        have = decimal_digits(err.denominator // err.numerator) - 1
-        extra = max(need - have, e.extra_digits or 1)
-        text = ("declared truncation error {} of theta is too coarse: the guard fails at "
-                "height_sq={}, zeta={}; height_sq_max={} needs at least {} decimal digits "
-                "of theta, the declared error gives {}: roughly {} more")
-        text = any_digits(
-            text.format, brief_rational(err), h, brief_rational(zeta), H, need, have, extra
-        )
-        raise PrecisionExhausted(text, extra_digits=extra) from None
-
-
 def enumerate_best_approx(theta: ThetaForm, height_sq_max: int) -> BestApproxSequence:
     """All best approximation vectors with M^2 <= height_sq_max, exactly.
 
@@ -179,7 +151,6 @@ def enumerate_best_approx(theta: ThetaForm, height_sq_max: int) -> BestApproxSeq
         # lattice points (m1, m2, z = A1*m1 + A2*m2 + D*m0); zeta is the
         # least |z| / D over m0
         basis = [[1, 0, A1], [0, 1, A2], [0, 0, D]]
-        p, q = theta.declared_error.numerator, theta.declared_error.denominator
         h0, s, k = 0, D // 2, 1  # last record's height, zeta bound, gallop step
         while True:
             h = min(H, max(1, h0 + (h0 << k)))
@@ -200,10 +171,8 @@ def enumerate_best_approx(theta: ThetaForm, height_sq_max: int) -> BestApproxSeq
                 z, m1, m2 = level[0]
                 if z > s:
                     continue
-                # validate_precision's guard z/D > 10*(p/q)*(h + ceil_isqrt(h)),
-                # times q*D; only a failing record pays for the Fraction
-                if z * q <= 10 * p * (hrec + ceil_isqrt(hrec)) * D:
-                    _check_precision(theta, hrec, Fraction(z, D), H)
+                zeta = Fraction(z, D)
+                validate_precision(theta, hrec, zeta, H)
                 winners = [(c[1], c[2]) for c in level if c[0] == z]
                 if z == 0:
                     raise DegenerateForm(
@@ -223,7 +192,7 @@ def enumerate_best_approx(theta: ThetaForm, height_sq_max: int) -> BestApproxSeq
                         m1=m1,
                         m2=m2,
                         height_sq=hrec,
-                        zeta=Fraction(z, D),
+                        zeta=zeta,
                         kind=vector_kind(m1, m2),
                     )
                 )
@@ -234,7 +203,7 @@ def enumerate_best_approx(theta: ThetaForm, height_sq_max: int) -> BestApproxSeq
 
     seq = BestApproxSequence(theta=theta, height_sq_max=H, vectors=tuple(vectors))
     if vectors:
-        _check_precision(theta, H, vectors[-1].zeta, H)
+        validate_precision(theta, H, vectors[-1].zeta)
     return seq
 
 

@@ -16,10 +16,12 @@ class ConfigError(BadSieveError):
 
 class PrecisionExhausted(BadSieveError):
     """The declared truncation error of theta is too coarse for the requested
-    height range: the smallest record zeta does not clear the guard margin.
+    height range: a record's zeta does not clear the margin of the guard,
+    rationals.validate_precision.
 
-    Carries an estimate of how many extra decimal digits of theta would be
-    needed (extra_digits), when computable.
+    extra_digits is how many more decimal digits of theta the run needs: the
+    larger of the digits the requested bound needs beyond those the declared
+    error gives, and the digits by which that error misses the failing zeta.
     """
 
     def __init__(self, message, extra_digits=None):

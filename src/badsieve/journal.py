@@ -8,10 +8,12 @@ files. Each journal line and the certificate are written from one text
 template, with the bytes json.dumps would give (compact lines, an indent=2
 certificate); strings that a parsed file can supply are escaped as
 json.dumps escapes them. parse_journal replays the chain from the base
-corner and checks each line, key by key, against json.loads of the text the
-writer emits for the values it parsed, so that text is the only statement
-of the format. What needs the records (the marks, the pick's clearance, the
-sequence fingerprint) is left to crosscheck and to resume, which requires
+corner and checks each line, and parse_certificate the certificate, key by
+key and with no key more, against json.loads of the text the writer emits
+for the values it parsed (a stamped score, a float from libm's pow, to a
+relative 10^-12), so that text is the only statement of the format. What
+needs the records (the marks, the pick's clearance, the sequence
+fingerprint) is left to crosscheck and to resume, which requires
 the old journal's lines to begin the one it writes (check_resume_prefix).
 """
 
@@ -21,6 +23,7 @@ import json
 from contextlib import contextmanager
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _json_str
+from math import isclose
 
 from .bestapprox import TYPE1, TYPE2
 from .errors import ConfigError
@@ -142,8 +145,12 @@ def _config(obj: dict) -> SieveConfig:
 
 
 def _check_derived(stored: dict, derived: dict) -> None:
-    """Each stored copy stored[key] must be the value the writer derives,
-    derived[key], JSON type included; else ConfigError naming the key."""
+    """stored must hold the keys the writer derives and no other, each
+    stored[key] the value derived[key], JSON type included; else
+    ConfigError naming the key."""
+    for key in stored:
+        if key not in derived:
+            raise ConfigError(f"field {key!r} is not one the writer emits")
     for key, want in derived.items():
         got = stored.get(key)
         if isinstance(want, dict) and isinstance(got, dict):
@@ -331,6 +338,9 @@ def parse_certificate(text: str) -> Certificate:
     )
     derived = json.loads(_certificate_text(cert))
     if score is not None:  # a display float from libm's pow, last digit host-dependent
-        del derived["bad_theta_score_at_Q"]["score"]
+        got, want = _get(s, "score", float), derived["bad_theta_score_at_Q"]["score"]
+        if not isclose(got, want, rel_tol=1e-12):
+            raise ConfigError(f"field 'score' is {got!r}, but recomputed it is {want!r}")
+        derived["bad_theta_score_at_Q"]["score"] = got
     _check_derived(obj, derived)
     return cert

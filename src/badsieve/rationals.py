@@ -144,32 +144,39 @@ def form_value(theta: ThetaForm, m1: int, m2: int) -> tuple[Fraction, int]:
     return best[2], best[1]
 
 
-def validate_precision(theta: ThetaForm, height_sq_max: int, zeta_min: Fraction) -> None:
-    """Guard: the record structure computed from the truncated pair is only
-    trusted when every record zeta clears the worst-case perturbation with a
-    10x margin.
+def validate_precision(
+    theta: ThetaForm, height_sq: int, zeta: Fraction, height_sq_max: int | None = None
+) -> None:
+    """Guard: a record (height_sq = h, zeta) computed from the truncated pair
+    is only trusted when zeta clears the worst-case perturbation with a 10x
+    margin. The one place the package compares a zeta with declared_error.
 
-    A form value moves by at most |m1|*err + |m2|*err <= (H + ceil_isqrt(H))*err
-    when each coefficient moves by err. ok iff
-        zeta_min > 10 * declared_error * (H + ceil_isqrt(H)).
-    Raises PrecisionExhausted otherwise, with an estimate of the extra decimal
-    digits needed.
+    A form value moves by at most |m1|*err + |m2|*err <= (h + ceil_isqrt(h))*err
+    when each coefficient moves by err, so it passes iff err == 0 or
+        zeta > 10 * err * (h + ceil_isqrt(h)),
+    tested in integers. Otherwise it raises PrecisionExhausted naming the
+    digits of theta that the bound height_sq_max = H (default h) needs: the
+    least N with 10^N > 10*(H + ceil_isqrt(H))*H^(3/2). Some class of height
+    <= H has zeta <= H^(-3/2) (Minkowski), so a declared error 10^-d passes
+    the guard at H only when d >= N. extra_digits is the larger of N - d and
+    the digits by which err misses this zeta.
     """
-    err = theta.declared_error
-    if err == 0:
+    p, q = theta.declared_error.numerator, theta.declared_error.denominator
+    margin = 10 * p * (height_sq + ceil_isqrt(height_sq)) * zeta.denominator
+    if p == 0 or zeta.numerator * q > margin:
         return
-    margin = 10 * err * (height_sq_max + ceil_isqrt(height_sq_max))
-    if zeta_min > margin:
-        return
-    # err must shrink below zeta_min / (10 * (H + ceil_isqrt(H)))
-    needed = zeta_min / (10 * (height_sq_max + ceil_isqrt(height_sq_max)))
-    extra = None
-    if needed > 0:
-        ratio = err / needed
-        extra = decimal_digits(ratio.numerator // ratio.denominator) if ratio > 1 else 1
-    text = ("declared truncation error too coarse for this height range: "
-            "zeta_min={} <= guard={}; roughly {} more decimal digits of theta needed")
-    text = text.format(brief_rational(zeta_min), brief_rational(margin), extra)
+    H = height_sq if height_sq_max is None else height_sq_max
+    # 10^(2N) > 100*(H + ceil_isqrt(H))^2*H^3 =: X iff 2N >= digits of X
+    need = (decimal_digits(100 * (H + ceil_isqrt(H)) ** 2 * H**3) + 1) // 2
+    have = decimal_digits(q // p) - 1  # 10^-have >= err
+    # err / (zeta / (10*(h + ceil_isqrt(h)))) >= 1: the digits of its floor
+    miss = decimal_digits(margin // (zeta.numerator * q)) if zeta else 1
+    extra = max(need - have, miss)
+    text = ("declared truncation error {} of theta is too coarse: the guard fails at "
+            "height_sq={}, zeta={}; height_sq_max={} needs at least {} decimal digits "
+            "of theta, the declared error gives {}: roughly {} more")
+    text = any_digits(text.format, brief_rational(theta.declared_error), height_sq,
+                      brief_rational(zeta), H, need, have, extra)
     raise PrecisionExhausted(text, extra_digits=extra)
 
 

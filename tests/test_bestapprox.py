@@ -29,7 +29,7 @@ from badsieve.errors import (
     PrecisionExhausted,
 )
 from badsieve.lattice import _reduce
-from badsieve.rationals import ThetaForm, ceil_isqrt, form_value
+from badsieve.rationals import ThetaForm, ceil_isqrt, form_value, validate_precision
 from badsieve.verify import brute_best_approx
 
 SQRT_PAIR = get_entry("sqrt2-sqrt3").theta
@@ -396,6 +396,20 @@ def test_precision_error_names_digits_for_bound(theta, H, digits, need):
     assert exc.value.extra_digits == need - digits
 
 
+def test_precision_error_full_text_pinned():
+    # construct's exit-4 stderr on the catalog pair past its reach, byte for byte
+    with pytest.raises(PrecisionExhausted) as exc:
+        enumerate_best_approx(SQRT_PAIR, 2**112)
+    assert str(exc.value) == (
+        "declared truncation error 1/1" + "0" * 51 + " of theta is too coarse: the guard "
+        "fails at height_sq=75648502983041055369, "
+        "zeta=65268149316394241287/25" + "0" * 49 + "; "
+        "height_sq_max=5192296858534827628530496329220096 needs at least 86 decimal "
+        "digits of theta, the declared error gives 51: roughly 35 more"
+    )
+    assert exc.value.extra_digits == 35
+
+
 def test_audits_clean_on_real_sequences():
     for name in ("sqrt2-sqrt3", "golden-pair", "liouville"):
         seq = enumerate_best_approx(get_entry(name).theta, 2000)
@@ -532,7 +546,7 @@ def test_precision_guard_boundary_is_strict(theta, H):
             enumerate_best_approx(at, H)
         assert f"the guard fails at height_sq={h}, zeta={zeta};" in str(exc.value)
         with pytest.raises(PrecisionExhausted) as ref:
-            bestapprox._check_precision(at, h, zeta, H)
+            validate_precision(at, h, zeta, H)
         assert str(exc.value) == str(ref.value)
         assert exc.value.extra_digits == ref.value.extra_digits
         below = Fraction(zeta.numerator, scale * zeta.denominator + 1)

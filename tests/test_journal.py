@@ -278,6 +278,47 @@ def test_parse_certificate_rejects_impossible_score(cubed):
         parse_certificate(forged)
 
 
+def _set_score(value):
+    def edit(cert: dict):
+        cert["bad_theta_score_at_Q"]["score"] = value
+    return edit
+
+
+# Edits of a stamped certificate that the writer never emits, with the key
+# the rejection must name
+FOREIGN = {
+    "extra-key": (lambda c: c.update(note="x"), "'note'"),
+    "score-string": (_set_score("0.3333333333333333"), "'score'"),
+    "score-int": (_set_score(0), "'score'"),
+    "score-missing": (lambda c: c["bad_theta_score_at_Q"].pop("score"), "'score'"),
+    "score-forged": (_set_score(0.9), "'score' is 0.9"),
+    "score-nan": (_set_score(float("nan")), "'score' is nan"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FOREIGN))
+def test_parse_certificate_rejects_what_the_writer_never_emits(case):
+    cert, _ = _run("sqrt2-sqrt3", R=8, depth=2)
+    text = certificate_json(dataclasses.replace(cert, bad_theta_score_at_Q=(1000, Fraction(1, 27))))
+    obj = json.loads(text)
+    assert json.dumps(obj, indent=2) + "\n" == text
+    edit, key = FOREIGN[case]
+    edit(obj)
+    with pytest.raises(ConfigError, match=f"field {key}"):
+        parse_certificate(json.dumps(obj, indent=2) + "\n")
+
+
+def test_parse_journal_rejects_extra_key_in_level_line():
+    _, journal = _run("golden-pair", R=8, depth=2)
+    lines = journal_text(journal).splitlines()
+    level = json.loads(lines[1])
+    assert json.dumps(level, separators=(",", ":")) == lines[1]
+    level["note"] = 1
+    lines[1] = json.dumps(level, separators=(",", ":"))
+    with pytest.raises(ConfigError, match="^journal line 2: field 'note'"):
+        parse_journal("\n".join(lines) + "\n")
+
+
 def test_numbers_past_the_digit_limit(default_digit_limit):
     # a 4,400-digit pair through the library alone: both fingerprints (the
     # same as with the limit lifted for the whole process), a certificate

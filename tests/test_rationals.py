@@ -132,6 +132,18 @@ def test_validate_precision_guard_arithmetic():
     assert exc.value.extra_digits is not None and exc.value.extra_digits >= 1
 
 
+def test_validate_precision_zero_zeta_fails():
+    # an exact zero of the truncated form: err misses it by no finite ratio
+    th = ThetaForm(Q(1, 3), Q(1, 7), declared_error=Q(1, 10**9))
+    with pytest.raises(PrecisionExhausted) as exc:
+        validate_precision(th, 3, Q(0), 100)
+    assert str(exc.value).endswith(
+        "height_sq=3, zeta=0; height_sq_max=100 needs at least 7 decimal digits "
+        "of theta, the declared error gives 9: roughly 1 more"
+    )
+    assert exc.value.extra_digits == 1
+
+
 def test_validate_precision_passes_with_margin():
     th = ThetaForm(Q(1, 3), Q(1, 7), declared_error=Q(1, 10**30))
     validate_precision(th, 10**6, Q(1, 10**3))

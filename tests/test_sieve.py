@@ -15,7 +15,7 @@ from badsieve.bestapprox import (
     enumerate_best_approx,
 )
 from badsieve.catalog import get_entry
-from badsieve.errors import ConfigError, IncompleteSequence, NoBaseFound
+from badsieve.errors import ConfigError, IncompleteSequence, NoBaseFound, PrecisionExhausted
 from badsieve.journal import (
     certificate_json,
     journal_text,
@@ -735,6 +735,20 @@ def test_run_sieve_rejects_wrong_theta():
     other = get_entry("golden-pair").theta
     with pytest.raises(ConfigError):
         run_sieve(other, cfg, seq)
+
+
+def test_run_sieve_rejects_too_coarse_sequence():
+    # a caller's sequence whose theta declares an error of 1/1000: the
+    # sieve's own guard names the digits its bound 8^4 needs
+    cfg = SieveConfig(R=8, depth=2)
+    golden = get_entry("golden-pair").theta
+    coarse = dataclasses.replace(golden, declared_error=Fraction(1, 1000))
+    seq = enumerate_best_approx(golden, cfg.height_sq_bound())
+    with pytest.raises(PrecisionExhausted) as exc:
+        run_sieve(coarse, cfg, dataclasses.replace(seq, theta=coarse))
+    assert "height_sq_max=4096 needs at least 11 decimal digits" in str(exc.value)
+    assert "the declared error gives 3: roughly 10 more" in str(exc.value)
+    assert exc.value.extra_digits == 10
 
 
 def test_seeded_policy_determinism():
