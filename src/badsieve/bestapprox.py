@@ -44,6 +44,7 @@ from .lattice import box_points
 from .modmin import first_reaching  # noqa: F401
 from .rationals import (
     ThetaForm,
+    brief_rational,
     fingerprint,
     format_rational,
     validate_precision,
@@ -180,7 +181,8 @@ def enumerate_best_approx(theta: ThetaForm, height_sq_max: int) -> BestApproxSeq
                     )
                 if len(winners) > 1:
                     raise DegenerateForm(
-                        f"tied record at height_sq={hrec}, zeta={z}/{D}: {winners}"
+                        f"tied record at height_sq={hrec}, "
+                        f"zeta={brief_rational(zeta)}: {winners}"
                     )
                 zd, m0 = _nearest(A1 * m1 + A2 * m2, D)
                 if zd != z:

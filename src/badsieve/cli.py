@@ -6,11 +6,10 @@ All emitted numbers are exact "p/q" strings or plain integers; outputs carry
 no timestamps, so identical configs produce identical bytes.
 
 Each subcommand's flags are declared once, by its builder in COMMANDS. A
-call builds only the parser of the subcommand it names (parse_args); the
-parser of all five (build_parser) is built only for -h, a missing or an
-unknown command, and gives the same namespace, help and error text. It makes
-six parsers and 31 add_argument calls where one subcommand needs one parser
-and at most ten, and building parsers, not parsing, is most of the cost.
+call builds only the parser of the subcommand it names (parse_args), since
+building parsers, not parsing, is most of a call's cost; the parser of all
+five (build_parser) is built only for -h, a missing or an unknown command,
+and gives the same namespace, help and error text.
 """
 
 import argparse
@@ -193,18 +192,13 @@ def cmd_best_approx(args) -> int:
     print(f"sequence {sequence_fingerprint(seq)}")
     print(f"vectors {len(seq.vectors)}  height_sq_max {seq.height_sq_max}")
     bad = False
-    mink = audit_minkowski(seq)
-    if mink:
-        bad = True
-        print(f"minkowski VIOLATION at index pairs {list(mink)[:5]}")
-    else:
-        print("minkowski ok (0 violations)")
-    growth = audit_growth(seq)
-    if growth:
-        bad = True
-        print(f"growth VIOLATION at {list(growth)[:5]}")
-    else:
-        print("growth ok (0 violations)")
+    for name, where, audit in (
+        ("minkowski", "index pairs ", audit_minkowski),
+        ("growth", "", audit_growth),
+    ):
+        found = audit(seq)[:5]
+        bad = bad or bool(found)
+        print(f"{name} VIOLATION at {where}{found}" if found else f"{name} ok (0 violations)")
     _write_output(Path(args.out), export_sequence_lines(seq))
     return EXIT_CODES["violation"] if bad else EXIT_CODES["ok"]
 
@@ -227,30 +221,29 @@ def _print_level_table(levels, cfg):
 
 
 def cmd_construct(args) -> int:
+    # the config flags this call gives; SieveConfig's defaults fill the rest
+    given = {
+        flag: getattr(args, flag)
+        for flag in ("R", "depth", "policy", "seed")
+        if getattr(args, flag) is not None
+    }
     old = None
     if args.resume:
         old = Path(args.resume).read_text()
         theta, cfg, *_ = parse_journal(old)
-        if args.catalog or args.theta:
-            if _resolve_theta(args) != theta:
-                raise ConfigError("--resume journal was built for a different theta")
-        for flag in ("R", "depth", "policy", "seed"):
-            given, journal_value = getattr(args, flag), getattr(cfg, flag)
-            if given is not None and given != journal_value:
+        if (args.catalog or args.theta) and _resolve_theta(args) != theta:
+            raise ConfigError("--resume journal was built for a different theta")
+        for flag, value in given.items():
+            if value != getattr(cfg, flag):
                 raise ConfigError(
-                    f"--{flag} {given} conflicts with the resume journal's "
-                    f"{flag}={journal_value}"
+                    f"--{flag} {value} conflicts with the resume journal's "
+                    f"{flag}={getattr(cfg, flag)}"
                 )
     else:
         theta = _resolve_theta(args)
-        if args.R is None or args.depth is None:
+        if "R" not in given or "depth" not in given:
             raise ConfigError("construct needs --R and --depth (or --resume)")
-        cfg = SieveConfig(
-            R=args.R,
-            depth=args.depth,
-            policy=args.policy or "lex",
-            seed=args.seed if args.seed is not None else 0,
-        )
+        cfg = SieveConfig(**given)
 
     if not cfg.scale_valid:
         print(
@@ -346,13 +339,22 @@ def _print_scan_work(name: str, rep) -> None:
     )
 
 
-def _divergence(fast, slow) -> str:
-    """The first entry where the fast path's list and its oracle's differ,
-    or both lengths when one list is a prefix of the other."""
-    for k, (a, b) in enumerate(zip(fast, slow)):
-        if a != b:
-            return f"entry {k}: fast {a} oracle {b}"
-    return f"lengths: fast {len(fast)} oracle {len(slow)}"
+def _report(label: str, fast, slow, same=None, entries=lambda x: x) -> bool:
+    """Print label and how a fast path's result compares with its oracle's:
+    same (nothing when None) if they are equal, else DIVERGENCE at the first
+    of entries(fast) and entries(slow) that differ, or at both lengths when
+    one is a prefix of the other. Returns whether they are equal."""
+    if fast == slow:
+        if same is not None:
+            print(f"{label}: {same}")
+        return True
+    a, b = entries(fast), entries(slow)
+    where = next(
+        (f"entry {k}: fast {x} oracle {y}" for k, (x, y) in enumerate(zip(a, b)) if x != y),
+        f"lengths: fast {len(a)} oracle {len(b)}",
+    )
+    print(f"{label}: DIVERGENCE at {where}")
+    return False
 
 
 def cmd_crosscheck(args) -> int:
@@ -363,19 +365,13 @@ def cmd_crosscheck(args) -> int:
 
     ok = True
     for name, theta in pairs:
-        fast = enumerate_best_approx(theta, args.bound)
-        slow = brute_best_approx(theta, args.bound)
-        if fast.vectors == slow.vectors:
-            print(
-                f"best-approx oracle: {name} bound {args.bound}: "
-                f"{len(fast.vectors)} vectors equal"
-            )
-        else:
-            ok = False
-            print(
-                f"best-approx oracle: {name} bound {args.bound}: DIVERGENCE at "
-                f"{_divergence(fast.vectors, slow.vectors)}"
-            )
+        fast = enumerate_best_approx(theta, args.bound).vectors
+        ok &= _report(
+            f"best-approx oracle: {name} bound {args.bound}",
+            fast,
+            brute_best_approx(theta, args.bound).vectors,
+            same=f"{len(fast)} vectors equal",
+        )
 
     cfg = SieveConfig(R=args.R, depth=args.depth)
     for name, theta in pairs:
@@ -388,13 +384,12 @@ def cmd_crosscheck(args) -> int:
                 v = seq.vectors[k - 1]
                 strip = dangerous_children(rec.rect, v, cfg)
                 grid = grid_dangerous_children(rec.rect, v, cfg)
-                if strip != grid:
-                    ok = False
-                    print(
-                        f"strip oracle: {name} level {rec.level} vector "
-                        f"({v.m1},{v.m2}): DIVERGENCE at "
-                        f"{_divergence(sorted(strip.items()), sorted(grid.items()))}"
-                    )
+                ok &= _report(
+                    f"strip oracle: {name} level {rec.level} vector ({v.m1},{v.m2})",
+                    strip,
+                    grid,
+                    entries=lambda rows: sorted(rows.items()),
+                )
                 killed.update(
                     (i, j)
                     for j, runs in grid.items()
@@ -426,15 +421,13 @@ def cmd_crosscheck(args) -> int:
             ("inhomogeneous", cert.eta, bad_theta_score(theta, cert.eta, Q)),
             ("homogeneous", zero, bad_alpha_beta_score(theta, Q)),
         ):
-            slow = linear_weighted_min_scan(theta.theta1, theta.theta2, *eta, Q)
-            if fast == slow:
-                print(f"scan oracle: {name} Q={Q} {label}: equal")
-            else:
-                ok = False
-                print(
-                    f"scan oracle: {name} Q={Q} {label}: DIVERGENCE at "
-                    f"{_divergence(fast.running_min_trace, slow.running_min_trace)}"
-                )
+            ok &= _report(
+                f"scan oracle: {name} Q={Q} {label}",
+                fast,
+                linear_weighted_min_scan(theta.theta1, theta.theta2, *eta, Q),
+                same="equal",
+                entries=lambda rep: rep.running_min_trace,
+            )
 
     if not ok:
         print("crosscheck FAILED")

@@ -1,7 +1,8 @@
 """Exceptions shared across the package.
 
-Every failure mode the CLI maps to a nonzero exit code lives here, so the
-mapping stays in one place (see cli.EXIT_CODES).
+Every failure mode the CLI maps to a nonzero exit code lives here. The
+mapping itself is the except clauses of cli.main, which turn each of these
+into one of the codes named in cli.EXIT_CODES.
 """
 
 

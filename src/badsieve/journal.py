@@ -211,7 +211,7 @@ def parse_journal(text: str):
             continue
         try:
             records.append((ln, json.loads(line)))
-        except json.JSONDecodeError as e:
+        except ValueError as e:  # JSONDecodeError, or an int past the digit limit
             raise ConfigError(f"journal line {ln} is not valid JSON: {e}") from None
         if not isinstance(records[-1][1], dict):
             raise ConfigError(f"journal line {ln} is not a JSON object")
@@ -309,7 +309,7 @@ def certificate_json(cert: Certificate) -> str:
 def parse_certificate(text: str) -> Certificate:
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # JSONDecodeError, or an int past the digit limit
         raise ConfigError(f"certificate is not valid JSON: {e}") from None
     if (
         not isinstance(obj, dict)

@@ -25,7 +25,7 @@ from .bestapprox import (
 )
 from .errors import ConfigError, DegenerateForm
 from .modmin import weighted_min_scan
-from .rationals import ThetaForm, form_range, form_value
+from .rationals import ThetaForm, brief_rational, form_range, form_value
 
 
 @dataclass(frozen=True)
@@ -226,7 +226,8 @@ def brute_best_approx(theta: ThetaForm, height_sq_max: int) -> BestApproxSequenc
                 )
             if ties > 1:
                 raise DegenerateForm(
-                    f"tied record at height_sq={h}: {ties} classes at distance {d}/{D}"
+                    f"tied record at height_sq={h}: {ties} classes at distance "
+                    f"{brief_rational(Fraction(d, D))}"
                 )
             _, m0 = form_value(theta, m1, m2)
             vectors.append(

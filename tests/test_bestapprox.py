@@ -319,6 +319,19 @@ def test_degenerate_rational_pair_both_ways():
         brute_best_approx(RATIONAL_PAIR, 5)
 
 
+def test_tied_record_past_the_digit_limit_is_degenerate(default_digit_limit):
+    # x = 1/5 + 10^-4400: (1, 0) and (1, 1) tie at height 1 with zeta = x,
+    # which the message shows by its leading digits and digit counts
+    S = 10**4400
+    x = Fraction(S // 5 + 1, S)
+    theta = ThetaForm(x, 1 - 2 * x)
+    for enumerate_records in (enumerate_best_approx, brute_best_approx):
+        with pytest.raises(DegenerateForm, match="^tied record at height_sq=") as exc:
+            enumerate_records(theta, 4)
+        assert len(str(exc.value)) < 1000
+        assert "...(4400 digits)" in str(exc.value)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     p1=st.integers(1, 10**9),

@@ -23,6 +23,7 @@ from badsieve.rationals import dist_to_nearest_int, format_rational, parse_ratio
 from badsieve.sieve import SieveConfig, run_sieve
 from badsieve.verify import (
     bad_theta_score,
+    brute_best_approx,
     grid_dangerous_children,
     linear_form_score,
 )
@@ -104,6 +105,27 @@ def test_degenerate_rational_theta_exits_2(capsys, tmp_path):
     assert "violation" in capsys.readouterr().err
 
 
+def test_best_approx_reports_audit_violations(tmp_path, capsys, monkeypatch):
+    # each audit prints its first five violations, and either fails the call
+    monkeypatch.setattr(cli, "audit_minkowski", lambda seq: [(i, i + 1) for i in range(1, 8)])
+    monkeypatch.setattr(cli, "audit_growth", lambda seq: [])
+    out = tmp_path / "s.txt"
+    argv = ("best-approx", "--catalog", "sqrt2-sqrt3", "--bound", "1000", "--out", str(out))
+    assert run_cli(*argv) == 2
+    assert capsys.readouterr().out.splitlines()[3:] == [
+        "minkowski VIOLATION at index pairs [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6)]",
+        "growth ok (0 violations)",
+        f"wrote {out}",
+    ]
+    monkeypatch.setattr(cli, "audit_minkowski", lambda seq: [])
+    monkeypatch.setattr(cli, "audit_growth", lambda seq: [("type1", 1, 29)])
+    assert run_cli(*argv) == 2
+    assert capsys.readouterr().out.splitlines()[3:5] == [
+        "minkowski ok (0 violations)",
+        "growth VIOLATION at [('type1', 1, 29)]",
+    ]
+
+
 def test_bound_zero_writes_empty_file(tmp_path):
     out = tmp_path / "s.txt"
     assert (
@@ -129,11 +151,15 @@ def test_negative_bound_exits_5(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_construct_requires_R_and_depth(tmp_path):
-    assert (
-        run_cli("construct", "--catalog", "sqrt2-sqrt3", "--out", str(tmp_path))
-        == 5
-    )
+def test_construct_requires_R_and_depth(tmp_path, capsys):
+    out = tmp_path / "run"
+    for given in ((), ("--R", "8"), ("--depth", "3")):
+        code = run_cli("construct", "--catalog", "sqrt2-sqrt3", *given, "--out", str(out))
+        assert code == 5
+        assert capsys.readouterr() == (
+            "", "config error: construct needs --R and --depth (or --resume)\n"
+        )
+        assert not out.exists()
 
 
 @pytest.fixture(scope="module")
@@ -345,15 +371,55 @@ def test_resume_reproduces_outputs(small_run, tmp_path, capsys):
     ).read_text()
 
 
-def test_resume_flag_conflict(small_run, tmp_path, capsys):
-    assert (
-        run_cli(
-            "construct", "--resume", str(small_run / "journal.jsonl"),
-            "--R", "16", "--out", str(tmp_path),
-        )
-        == 5
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (("--R", "16"), "--R 16 conflicts with the resume journal's R=8"),
+        (("--depth", "4"), "--depth 4 conflicts with the resume journal's depth=3"),
+        (
+            ("--policy", "random"),
+            "--policy random conflicts with the resume journal's policy=lex",
+        ),
+        (("--seed", "3"), "--seed 3 conflicts with the resume journal's seed=0"),
+        (("--theta", "1/3,1/7"), "--resume journal was built for a different theta"),
+    ],
+    ids=["R", "depth", "policy", "seed", "theta"],
+)
+def test_resume_flag_conflict(small_run, tmp_path, capsys, flags, message):
+    out = tmp_path / "resumed"
+    code = run_cli(
+        "construct", "--resume", str(small_run / "journal.jsonl"), *flags, "--out", str(out)
     )
-    assert "conflicts" in capsys.readouterr().err
+    assert code == 5
+    assert capsys.readouterr() == ("", f"config error: {message}\n")
+    assert not out.exists()
+
+
+def test_resume_accepts_flags_equal_to_the_journal(small_run, tmp_path, capsys):
+    out = tmp_path / "resumed"
+    code = run_cli(
+        "construct", "--resume", str(small_run / "journal.jsonl"),
+        "--catalog", "sqrt2-sqrt3", "--R", "8", "--depth", "3",
+        "--policy", "lex", "--seed", "0", "--out", str(out),
+    )
+    assert code == 0
+    for name in ("journal.jsonl", "certificate.json"):
+        assert (out / name).read_bytes() == (small_run / name).read_bytes()
+
+
+def test_construct_defaults_are_lex_and_seed_0(small_run, tmp_path, capsys):
+    # no --policy and --seed: the same bytes as the config's own defaults
+    out = tmp_path / "explicit"
+    code = run_cli(
+        "construct", "--catalog", "sqrt2-sqrt3", "--R", "8", "--depth", "3",
+        "--policy", "lex", "--seed", "0", "--out", str(out),
+    )
+    assert code == 0
+    for name in ("journal.jsonl", "certificate.json"):
+        assert (out / name).read_bytes() == (small_run / name).read_bytes()
+    assert parse_certificate((out / "certificate.json").read_text()).config == SieveConfig(
+        R=8, depth=3
+    )
 
 
 def test_construct_threads_flag_is_unknown(tmp_path, capsys):
@@ -659,6 +725,64 @@ def test_crosscheck_reports_scan_divergence(capsys, monkeypatch):
     assert "scan oracle: theta Q=10000 homogeneous: equal" in out
     assert "scan oracle: theta Q=10000 inhomogeneous: DIVERGENCE at entry" in out
     assert "crosscheck FAILED" in out
+
+
+CROSSCHECK_SMALL = (
+    "crosscheck", "--catalog", "sqrt2-sqrt3", "--bound", "100", "--R", "4", "--depth", "1",
+)
+
+
+def test_crosscheck_reports_record_and_strip_divergence(capsys, monkeypatch):
+    def short_oracle(theta, bound):
+        seq = brute_best_approx(theta, bound)
+        return dataclasses.replace(seq, vectors=seq.vectors[:-1])
+
+    def off_row_mark(rect, v, cfg):
+        # one extra dangerous run, away from the chosen child (0, 0)
+        grid = grid_dangerous_children(rect, v, cfg)
+        return {**grid, 1: [(2, 3)]} if (v.m1, v.m2) == (-2, 1) else grid
+
+    monkeypatch.setattr(cli, "brute_best_approx", short_oracle)
+    monkeypatch.setattr(cli, "grid_dangerous_children", off_row_mark)
+    assert run_cli(*CROSSCHECK_SMALL) == 2
+    assert capsys.readouterr().out.splitlines() == [
+        "best-approx oracle: theta bound 100: DIVERGENCE at lengths: fast 8 oracle 7",
+        "strip oracle: theta level 0 vector (-2,1): DIVERGENCE at "
+        "lengths: fast 0 oracle 1",
+        "union oracle: theta level 0: union_kills 0 != grid union 2",
+        "strip oracle: theta R=4 depth=1: 5 (level, vector) pairs compared; "
+        "chosen child and union size checked on 1 levels",
+        "scan oracle: theta Q=10000 inhomogeneous: equal",
+        "scan oracle: theta Q=10000 homogeneous: equal",
+        "crosscheck FAILED",
+    ]
+
+
+def test_crosscheck_reports_pick_and_union_divergence(capsys, monkeypatch):
+    def mark_chosen(rect, v, cfg):
+        # every vector "kills" the chosen child (0, 0) and its row neighbour
+        grid = grid_dangerous_children(rect, v, cfg)
+        assert grid == {}
+        return {0: [(0, 1)]}
+
+    monkeypatch.setattr(cli, "grid_dangerous_children", mark_chosen)
+    assert run_cli(*CROSSCHECK_SMALL) == 2
+    vectors = ["(-2,1)", "(3,1)", "(-6,2)", "(-9,1)", "(5,4)"]
+    assert capsys.readouterr().out.splitlines() == [
+        "best-approx oracle: theta bound 100: 8 vectors equal",
+        *(
+            f"strip oracle: theta level 0 vector {v}: DIVERGENCE at "
+            "lengths: fast 0 oracle 1"
+            for v in vectors
+        ),
+        "pick oracle: theta level 0: chosen child (0, 0) is killed",
+        "union oracle: theta level 0: union_kills 0 != grid union 2",
+        "strip oracle: theta R=4 depth=1: 5 (level, vector) pairs compared; "
+        "chosen child and union size checked on 1 levels",
+        "scan oracle: theta Q=10000 inhomogeneous: equal",
+        "scan oracle: theta Q=10000 homogeneous: equal",
+        "crosscheck FAILED",
+    ]
 
 
 def test_crosscheck_empty_bound(capsys):

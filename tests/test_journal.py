@@ -319,6 +319,19 @@ def test_parse_journal_rejects_extra_key_in_level_line():
         parse_journal("\n".join(lines) + "\n")
 
 
+def test_parsers_refuse_an_integer_past_the_digit_limit(default_digit_limit):
+    # json.loads raises a bare ValueError for a 5,001-digit integer under
+    # the default limit; both parsers turn it into ConfigError
+    cert, journal = _run("golden-pair", R=8, depth=2)
+    seed = "1" + "0" * 5000
+    text = certificate_json(cert).replace('"seed": 0', f'"seed": {seed}')
+    with pytest.raises(ConfigError, match="^certificate is not valid JSON: .*digits"):
+        parse_certificate(text)
+    text = journal_text(journal).replace('"seed":0', f'"seed":{seed}')
+    with pytest.raises(ConfigError, match="^journal line 1 is not valid JSON: .*digits"):
+        parse_journal(text)
+
+
 def test_numbers_past_the_digit_limit(default_digit_limit):
     # a 4,400-digit pair through the library alone: both fingerprints (the
     # same as with the limit lifted for the whole process), a certificate
