@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt, lcm
+from math import isqrt
 
 from .errors import ConfigError, DegenerateForm
 from .lattice import box_points
@@ -47,6 +47,7 @@ from .rationals import (
     brief_rational,
     fingerprint,
     format_rational,
+    over_common_denominator,
     validate_precision,
     weighted_height_sq,
 )
@@ -145,10 +146,7 @@ def enumerate_best_approx(theta: ThetaForm, height_sq_max: int) -> BestApproxSeq
         raise ConfigError(f"negative height bound {H}")
     vectors: list[BestApproxVector] = []
     if H >= 1:
-        t1, t2 = theta.theta1, theta.theta2
-        D = lcm(t1.denominator, t2.denominator)
-        A1 = t1.numerator * (D // t1.denominator)
-        A2 = t2.numerator * (D // t2.denominator)
+        D, (A1, A2) = over_common_denominator(theta.theta1, theta.theta2)
         # lattice points (m1, m2, z = A1*m1 + A2*m2 + D*m0); zeta is the
         # least |z| / D over m0
         basis = [[1, 0, A1], [0, 1, A2], [0, 0, D]]

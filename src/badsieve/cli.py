@@ -91,26 +91,31 @@ def _add_theta_flags(p):
     )
     p.add_argument(
         "--theta-error",
-        default="0",
-        help="declared truncation error of an inline pair (p/q or decimal)",
+        help="declared truncation error of an inline --theta pair (p/q or decimal)",
     )
 
 
-def _resolve_theta(args) -> ThetaForm:
+def _resolve_theta(args, required: bool = True) -> ThetaForm | None:
+    """The pair --catalog or --theta names; None when neither is given and not required."""
     if args.catalog and args.theta:
         raise ConfigError("give either --catalog or --theta, not both")
+    if args.theta_error is not None and not args.theta:
+        raise ConfigError("--theta-error applies only to an inline --theta pair")
     if args.catalog:
         return get_entry(args.catalog).theta
     if args.theta:
         parts = args.theta.split(",")
         if len(parts) != 2:
             raise ConfigError('--theta wants exactly two components "T1,T2"')
+        error = args.theta_error
         return ThetaForm(
             theta1=parse_rational(parts[0]),
             theta2=parse_rational(parts[1]),
-            declared_error=parse_rational(args.theta_error),
+            declared_error=Fraction(0) if error is None else parse_rational(error),
         )
-    raise ConfigError("a theta source is required: --catalog NAME or --theta T1,T2")
+    if required:
+        raise ConfigError("a theta source is required: --catalog NAME or --theta T1,T2")
+    return None
 
 
 def _best_approx_flags(p):
@@ -231,7 +236,7 @@ def cmd_construct(args) -> int:
     if args.resume:
         old = Path(args.resume).read_text()
         theta, cfg, *_ = parse_journal(old)
-        if (args.catalog or args.theta) and _resolve_theta(args) != theta:
+        if _resolve_theta(args, required=False) not in (None, theta):
             raise ConfigError("--resume journal was built for a different theta")
         for flag, value in given.items():
             if value != getattr(cfg, flag):
@@ -358,8 +363,9 @@ def _report(label: str, fast, slow, same=None, entries=lambda x: x) -> bool:
 
 
 def cmd_crosscheck(args) -> int:
-    if args.catalog or args.theta:
-        pairs = [("theta", _resolve_theta(args))]
+    theta = _resolve_theta(args, required=False)
+    if theta is not None:
+        pairs = [("theta", theta)]
     else:
         pairs = [(name, get_entry(name).theta) for name in catalog_names()]
 

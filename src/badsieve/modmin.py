@@ -1,9 +1,9 @@
 """Exact minimization of affine maps modulo an integer.
 
-  weighted_min_scan(a1, c1, a2, c2, m, Q)   verify's weighted q-scan
-  icbrt(n)                                  exact integer cube root
-  first_reaching(a, c, m, s, L)             minimal x in [0, L] with
-                                            (a*x + c) % m <= s
+  weighted_min_scan(a1, c1, a2, c2, m, Q, counts)   verify's weighted q-scan
+  icbrt(n)                                          exact integer cube root
+  first_reaching(a, c, m, s, L)                     minimal x in [0, L] with
+                                                    (a*x + c) % m <= s
 
 weighted_min_scan finds every strict running-minimum record of
 max(q^2 d1^3, q d2^3) over 1 <= q <= Q, d1 and d2 the distances of
@@ -99,16 +99,14 @@ def icbrt(n: int) -> int:
         x = y
 
 
-def weighted_min_scan(
-    a1: int, c1: int, a2: int, c2: int, m: int, Q: int, counts: dict | None = None
-):
+def weighted_min_scan(a1: int, c1: int, a2: int, c2: int, m: int, Q: int, counts: dict):
     """Exact min over 1 <= q <= Q of max(q^2 d1^3, q d2^3), where d1 and d2
     are the distances of (a1*q + c1) % m and (a2*q + c2) % m from 0 mod m.
 
     Returns (best, argmin, trace): the minimum, the first q attaining it, and
     every strict running-minimum record (q, value) in increasing q, stopping
     at the first exact 0. These are the records a scan of every q finds.
-    A dict passed as counts receives the scan's work: blocks (box queries),
+    The dict counts receives the scan's work: blocks (box queries),
     listed (parallelepiped points listed for the blocks' boxes) and scored
     (q scored, q = 1 too).
 
@@ -174,6 +172,5 @@ def weighted_min_scan(
                 if cubed == 0:
                     break
         lo = hi + 1
-    if counts is not None:
-        counts.update(blocks=blocks, listed=listed, scored=scored)
+    counts.update(blocks=blocks, listed=listed, scored=scored)
     return best, best_q, trace

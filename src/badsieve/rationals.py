@@ -4,7 +4,7 @@ weighted height, form values, and the truncation-precision guard.
 Everything here is exact. No floats enter or leave any public function,
 and Fraction is the single rational type that public functions take and
 return; inside a computation a caller may scale to integers over a common
-denominator, as the sieve does per level. Decimal strings ("0.25") parse
+denominator (over_common_denominator). Decimal strings ("0.25") parse
 exactly, "p/q" strings parse exactly, and formatting always emits canonical
 "p/q" with q > 0 and gcd(p, q) = 1 (Fraction maintains that invariant).
 """
@@ -15,7 +15,7 @@ import hashlib
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 
 from .errors import ConfigError, PrecisionExhausted
 
@@ -84,6 +84,13 @@ def brief_rational(x: Fraction) -> str:
         f"{n // 10 ** (k - 20)}...({k} digits)" if k > 20 else str(n)
         for n, k in zip(parts, counts)
     )
+
+
+def over_common_denominator(*xs: Fraction) -> tuple[int, list[int]]:
+    """(D, [x*D for x in xs]): the least common denominator D of the
+    rationals xs, and each of them scaled by it, an integer."""
+    D = lcm(*(x.denominator for x in xs))
+    return D, [x.numerator * (D // x.denominator) for x in xs]
 
 
 def dist_to_nearest_int(x: Fraction) -> Fraction:

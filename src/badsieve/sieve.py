@@ -18,11 +18,11 @@ picked by a sweep over the range endpoints. Time and memory are
 O(window x strips x R) per level; the full R^3 scan exists only as an
 oracle in the verify module.
 
-Every level decision (the strip walk, the gap test, the base test) is an
-integer comparison: the rectangle's corner, its child widths and epsilon
-are put over one common denominator D, and each floor, ceil and strict
-inequality is taken of the same rational scaled by D > 0. The chosen
-child's corner and the final centre are built from the same integers.
+The strip walk and the base test put the rectangle's corner, child widths
+and epsilon over one common denominator D and take each floor, ceil and
+strict inequality of the same rational scaled by D > 0; the chosen child's
+corner and the final centre are built from the same integers. The gap test
+is an integer inequality in R, the level and |m|, wherever the rectangle is.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from .errors import (
     NoBaseFound,
     NoSurvivor,
 )
-from .rationals import ThetaForm, theta_fingerprint, validate_precision
+from .rationals import ThetaForm, decimal_digits, theta_fingerprint, validate_precision
 from .verify import linear_form_score
 
 POLICIES = ("lex", "random")
@@ -65,6 +65,9 @@ class SieveConfig:
             raise ConfigError("depth must be at least 0")
         if self.policy not in POLICIES:
             raise ConfigError(f"policy must be one of {POLICIES}")
+        # Python's default int/str limit: the seed is written as text
+        if decimal_digits(abs(self.seed)) > 4300:
+            raise ConfigError("seed must have at most 4300 decimal digits")
 
     @property
     def delta(self) -> Fraction:
@@ -133,8 +136,8 @@ def child_rect(B: Rectangle, cfg: SieveConfig, i: int, j: int) -> Rectangle:
 def _frame(B: Rectangle, cfg: SieveConfig) -> tuple[int, int, int, int, int, int]:
     """B over one common denominator D: the integers (D, X1, X2, C1, C2, E)
     with corner (X1/D, X2/D), child widths C1/D and C2/D, and epsilon E/D.
-    Every level decision compares integers in this frame, the same rationals
-    scaled by D > 0, so each floor, ceil and strict comparison is unchanged.
+    The strip walk, base test, child corner and centre use this frame: the
+    same rationals scaled by D > 0 keep each floor, ceil and strict comparison.
     """
     R, n = cfg.R, B.level
     b1, b2 = B.b1, B.b2
@@ -242,14 +245,14 @@ def gap_condition(B: Rectangle, v, cfg: SieveConfig) -> bool:
     Type1: strips cut the x1 axis every 1/|m1|; the footprint is widened by
     the child size and the slope |m2|/|m1| sweeping across one row, and
     1/|m1| - 2 (eps/|m1| + cw1 + (|m2|/|m1|) cw2) > w1 must hold. Type2 swaps
-    the axes. Both are multiplied through by |m| D > 0."""
-    R = cfg.R
-    D, _, _, C1, C2, E = _frame(B, cfg)
+    the axes. As w1 = R^-(3+2n), w2 = R^-(3+n) and eps = R^-4 at level n,
+    both are multiplied through by |m| R^(5+2n): integers in R, n and |m|."""
+    R, n = cfg.R, B.level
     a1, a2 = abs(v.m1), abs(v.m2)
-    slack = D - 2 * (E + a1 * C1 + a2 * C2)
+    slack = R ** (5 + 2 * n) - 2 * (R ** (1 + 2 * n) + a1 + a2 * R ** (1 + n))
     if v.kind == TYPE1:
-        return slack > a1 * R * R * C1
-    return slack > a2 * R * C2
+        return slack > a1 * R * R
+    return slack > a2 * R ** (2 + n)
 
 
 def select_base(cfg: SieveConfig, seq: BestApproxSequence) -> Rectangle:

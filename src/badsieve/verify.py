@@ -4,7 +4,8 @@ bad_theta_score and bad_alpha_beta_score call modmin.weighted_min_scan,
 which lists the q that can set a new running minimum with one lattice box
 query per block of q and scores only those, instead of scoring every q.
 Everything else here is deliberately naive: exhaustive scans in exact integer
-arithmetic, no shared machinery with the clever implementations they audit.
+arithmetic, sharing with the clever implementations they audit only the
+scaling to a common denominator and, for the q-scans, _scan_report.
 linear_weighted_min_scan, which scores every q, is the naive oracle of the
 two scores. The weighted scores use fractional exponents 2/3 and 1/3; those
 never get evaluated as floats internally. max(q^(2/3) d1, q^(1/3) d2) is
@@ -16,16 +17,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import ceil, floor, isqrt, lcm
+from math import ceil, floor, isqrt
 
-from .bestapprox import (
-    BestApproxSequence,
-    BestApproxVector,
-    vector_kind,
-)
+from .bestapprox import BestApproxSequence, BestApproxVector, vector_kind
 from .errors import ConfigError, DegenerateForm
 from .modmin import weighted_min_scan
-from .rationals import ThetaForm, brief_rational, form_range, form_value
+from .rationals import (
+    ThetaForm,
+    brief_rational,
+    form_range,
+    form_value,
+    over_common_denominator,
+)
 
 
 @dataclass(frozen=True)
@@ -54,6 +57,20 @@ class ScoreReport:
         return float(self.score_cubed) ** (1.0 / 3.0)
 
 
+def _scan_report(Q: int, D: int, best: int, argmin: int, trace, work=None) -> ScoreReport:
+    """The ScoreReport of a q-scan done in integers over the common
+    denominator D: best and each trace value (q, cubed) are cubed scores
+    times D^3."""
+    D3 = D**3
+    return ScoreReport(
+        bound=Q,
+        score_cubed=Fraction(best, D3),
+        argmin=argmin,
+        running_min_trace=tuple((q, Fraction(c, D3)) for q, c in trace),
+        work=work,
+    )
+
+
 def linear_weighted_min_scan(
     t1: Fraction, t2: Fraction, e1: Fraction, e2: Fraction, Q: int
 ) -> ScoreReport:
@@ -66,15 +83,11 @@ def linear_weighted_min_scan(
     """
     if Q < 1:
         raise ConfigError("scan bound must be >= 1")
-    D = lcm(t1.denominator, t2.denominator, e1.denominator, e2.denominator)
-    a1 = t1.numerator * (D // t1.denominator) % D
-    a2 = t2.numerator * (D // t2.denominator) % D
-    r1 = -e1.numerator * (D // e1.denominator) % D
-    r2 = -e2.numerator * (D // e2.denominator) % D
+    D, (a1, a2, n1, n2) = over_common_denominator(t1, t2, e1, e2)
+    r1, r2 = -n1 % D, -n2 % D
     best = None
     best_q = None
     trace = []
-    D3 = D**3
     for q in range(1, Q + 1):
         r1 = (r1 + a1) % D
         r2 = (r2 + a2) % D
@@ -84,15 +97,10 @@ def linear_weighted_min_scan(
         if best is None or cubed < best:
             best = cubed
             best_q = q
-            trace.append((q, Fraction(cubed, D3)))
+            trace.append((q, cubed))
             if cubed == 0:
                 break
-    return ScoreReport(
-        bound=Q,
-        score_cubed=Fraction(best, D3),
-        argmin=best_q,
-        running_min_trace=tuple(trace),
-    )
+    return _scan_report(Q, D, best, best_q, trace)
 
 
 def _weighted_score(
@@ -103,23 +111,10 @@ def _weighted_score(
     counters."""
     if Q < 1:
         raise ConfigError("scan bound must be >= 1")
-    D = lcm(t1.denominator, t2.denominator, e1.denominator, e2.denominator)
-
-    def scaled(x: Fraction) -> int:
-        return x.numerator * (D // x.denominator)
-
+    D, (a1, a2, n1, n2) = over_common_denominator(t1, t2, e1, e2)
     work = {}
-    best, best_q, trace = weighted_min_scan(
-        scaled(t1), -scaled(e1), scaled(t2), -scaled(e2), D, Q, work
-    )
-    D3 = D**3
-    return ScoreReport(
-        bound=Q,
-        score_cubed=Fraction(best, D3),
-        argmin=best_q,
-        running_min_trace=tuple((q, Fraction(c, D3)) for q, c in trace),
-        work=work,
-    )
+    best, best_q, trace = weighted_min_scan(a1, -n1, a2, -n2, D, Q, work)
+    return _scan_report(Q, D, best, best_q, trace, work)
 
 
 def bad_theta_score(theta: ThetaForm, eta: tuple[Fraction, Fraction], Q: int) -> ScoreReport:
@@ -149,10 +144,7 @@ def linear_form_score(
         raise ConfigError("empty sequence has no linear-form score")
     if seq.theta != theta:
         raise ConfigError("sequence was built for a different theta")
-    e1, e2 = eta
-    D = lcm(e1.denominator, e2.denominator)
-    n1 = e1.numerator * (D // e1.denominator)
-    n2 = e2.numerator * (D // e2.denominator)
+    D, (n1, n2) = over_common_denominator(*eta)
     best = None
     best_v = None
     trace = []
@@ -185,10 +177,8 @@ def brute_best_approx(theta: ThetaForm, height_sq_max: int) -> BestApproxSequenc
         raise ConfigError(f"negative height bound {H}")
     vectors: list[BestApproxVector] = []
     if H >= 1:
-        t1, t2 = theta.theta1, theta.theta2
-        D = lcm(t1.denominator, t2.denominator)
-        A1 = t1.numerator * (D // t1.denominator) % D
-        A2 = t2.numerator * (D // t2.denominator) % D
+        # no reduction mod D: ThetaForm keeps 0 < theta_i < 1, so 0 < A_i < D
+        D, (A1, A2) = over_common_denominator(theta.theta1, theta.theta2)
         # slots[h] = [min_dist_scaled, argmin_m1, argmin_m2, tie_count]
         slots: list[list | None] = [None] * (H + 1)
 
@@ -203,7 +193,7 @@ def brute_best_approx(theta: ThetaForm, height_sq_max: int) -> BestApproxSequenc
             elif d == slot[0]:
                 slot[3] += 1
 
-        r = (A1 + 0) % D  # class (1, 0)
+        r = A1  # class (1, 0)
         for m1 in range(1, H + 1):
             feed(m1, 0, r)
             r = (r + A1) % D
@@ -254,9 +244,7 @@ def grid_dangerous_children(B, v, cfg) -> dict[int, list[tuple[int, int]]]:
     as closed ranges (i_lo, i_hi), and rows without any are absent. O(R^3)
     per vector; exists purely to audit the strip-walking implementation."""
     R = cfg.R
-    n = B.level
-    w1 = cfg.delta / R ** (2 * n)
-    w2 = cfg.delta / R**n
+    w1, w2 = B.widths(cfg)
     cw1 = w1 / R**2
     cw2 = w2 / R
     eps = cfg.epsilon

@@ -395,6 +395,36 @@ def test_resume_flag_conflict(small_run, tmp_path, capsys, flags, message):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("case", ["best-approx", "construct", "resume", "crosscheck"])
+def test_theta_error_without_theta_exits_5(small_run, tmp_path, capsys, case):
+    out = tmp_path / "out"
+    argv = {
+        "best-approx": ["best-approx", "--catalog", "sqrt2-sqrt3", "--bound", "3600"],
+        "construct": ["construct", "--catalog", "golden-pair", "--R", "4", "--depth", "1"],
+        "resume": ["construct", "--resume", str(small_run / "journal.jsonl")],
+        "crosscheck": ["crosscheck"],
+    }[case]
+    out_flag = [] if case == "crosscheck" else ["--out", str(out)]
+    assert run_cli(*argv, "--theta-error", "1/10", *out_flag) == 5
+    assert capsys.readouterr() == (
+        "", "config error: --theta-error applies only to an inline --theta pair\n"
+    )
+    assert not out.exists()
+
+
+def test_seed_past_the_digit_limit_exits_5(tmp_path, capsys):
+    out = tmp_path / "run"
+    code = run_cli(
+        "construct", "--catalog", "golden-pair", "--R", "4", "--depth", "1",
+        "--seed", "1" + "0" * 5000, "--out", str(out),
+    )
+    assert code == 5
+    assert capsys.readouterr() == (
+        "", "config error: seed must have at most 4300 decimal digits\n"
+    )
+    assert not out.exists()
+
+
 def test_resume_accepts_flags_equal_to_the_journal(small_run, tmp_path, capsys):
     out = tmp_path / "resumed"
     code = run_cli(

@@ -1,7 +1,8 @@
 from fractions import Fraction as Q
+from math import lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from badsieve.errors import ConfigError, PrecisionExhausted
@@ -13,6 +14,7 @@ from badsieve.rationals import (
     dist_to_nearest_int,
     form_value,
     format_rational,
+    over_common_denominator,
     parse_rational,
     theta_fingerprint,
     validate_precision,
@@ -46,6 +48,19 @@ def test_format_canonical():
     assert format_rational(Q(2, 4)) == "1/2"
     assert format_rational(Q(-3)) == "-3/1"
     assert parse_rational(format_rational(Q(22, 7))) == Q(22, 7)
+
+
+@settings(max_examples=300)
+@given(xs=st.lists(rationals, min_size=1, max_size=4))
+@example(xs=[Q(-3, 4), Q(5), Q(1, 6)])  # negative, integer-valued, shared factor
+@example(xs=[Q(2, 7), Q(-5, 7), Q(0)])  # one shared denominator, and zero
+@example(xs=[Q(-9)])
+def test_over_common_denominator_scales_by_the_lcm(xs):
+    D, scaled = over_common_denominator(*xs)
+    assert D == lcm(*(x.denominator for x in xs))
+    assert len(scaled) == len(xs)
+    for x, n in zip(xs, scaled):
+        assert type(n) is int and n == x * D
 
 
 def test_dist_examples():

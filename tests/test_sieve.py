@@ -65,6 +65,20 @@ def test_config_validation():
     SieveConfig(R=4, depth=0)  # depth 0 allowed
 
 
+def test_seed_past_the_digit_limit_is_config_error(default_digit_limit):
+    # the seed is written as decimal text, and the random policy seeds from it
+    for seed in (10**4300, -(10**4300), 10**5000):
+        with pytest.raises(ConfigError, match="at most 4300 decimal digits"):
+            SieveConfig(R=4, depth=1, seed=seed)
+    theta = get_entry("golden-pair").theta
+    for policy in ("lex", "random"):
+        cfg = SieveConfig(R=4, depth=1, policy=policy, seed=-(10**4300 - 1))
+        seq = enumerate_best_approx(theta, cfg.height_sq_bound())
+        cert, journal = run_sieve(theta, cfg, seq)
+        assert parse_journal(journal_text(journal))[1] == cfg
+        assert parse_certificate(certificate_json(cert)).config == cfg
+
+
 def test_config_derived_quantities():
     cfg = SieveConfig(R=16, depth=4)
     assert cfg.delta == Fraction(1, 16**3)
@@ -453,6 +467,30 @@ def test_gap_condition_strict_at_equality(m1, m2, expected):
         room, width = gap_reference(B, v, cfg)
         assert (room == width) is not expected
         assert gap_condition(B, v, cfg) is expected
+
+
+@pytest.mark.parametrize("n", [0, 16, 64])
+def test_gap_condition_at_paper_scale_matches_fraction_reference(n):
+    """R = 2^14: per type, the largest |m1| (Type1, |m2| = 1) or |m2|
+    (Type2, |m1| = 1) that keeps the gap, and the next one, at two corners."""
+    R = 2**14
+    cfg = SieveConfig(R=R, depth=n + 1)
+    top = R ** (5 + 2 * n) - 2 * R ** (1 + 2 * n) - 1
+    a1 = (top - 2 * R ** (1 + n)) // (R * R + 2)
+    a2 = (top - 2) // (R ** (2 + n) + 2 * R ** (1 + n))
+    cases = [
+        (fake_vec(-a1, 1), True), (fake_vec(a1 + 1, -1), False),
+        (fake_vec(1, a2), True), (fake_vec(-1, a2 + 1), False),
+    ]
+    for B in (
+        Rectangle(Fraction(1, 4 * R), Fraction(3, 4 * R), n),
+        Rectangle(Fraction(1, 3) + Fraction(5, R ** (5 + 2 * n)),
+                  Fraction(1, 2) + Fraction(7, R ** (4 + n)), n),
+    ):
+        for v, expected in cases:
+            room, width = gap_reference(B, v, cfg)
+            assert (room > width) is expected
+            assert gap_condition(B, v, cfg) is expected
 
 
 def test_rect_clear_touches_open_strip_endpoints():
