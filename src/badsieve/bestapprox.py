@@ -36,6 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import isqrt
 
 from .errors import ConfigError, DegenerateForm
@@ -89,6 +90,13 @@ class BestApproxSequence:
     theta: ThetaForm
     height_sq_max: int
     vectors: tuple[BestApproxVector, ...]
+
+    @cached_property
+    def fingerprint(self) -> str:
+        """Identity of the exact content and completeness bound, computed
+        once per sequence: the fields are frozen and vectors is a tuple."""
+        text = f"height_sq_max={self.height_sq_max}\n" + export_sequence_lines(self)
+        return fingerprint(text)
 
     def validate(self) -> None:
         prev = None
@@ -238,8 +246,7 @@ def audit_growth(seq: BestApproxSequence, step: int = 28) -> list[tuple[str, int
 
 def sequence_fingerprint(seq: BestApproxSequence) -> str:
     """Identity of a sequence's exact content and completeness bound."""
-    text = f"height_sq_max={seq.height_sq_max}\n" + export_sequence_lines(seq)
-    return fingerprint(text)
+    return seq.fingerprint
 
 
 def export_sequence_lines(seq: BestApproxSequence) -> str:

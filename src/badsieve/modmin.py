@@ -84,14 +84,21 @@ def icbrt(n: int) -> int:
     """floor(n ** (1/3)) for an integer n >= 0, by integer Newton steps.
 
     No float is involved, so any size works (a float seed overflows past
-    2**1024). The start 2**ceil(bits/3) lies above the root, and each step
-    from above stays at or above the floor of the root while strictly
+    2**1024). The start lies above the root: from 512 bits on it is
+    (icbrt(n >> 3k) + 1) << k, k = bits // 6, which holds the root's leading
+    half, so a few steps finish; below, 2**ceil(bits/3) is as fast. Each
+    step from above stays at or above the floor of the root while strictly
     decreasing, so the first step that does not decrease ends the walk."""
     if n < 0:
         raise ValueError("cube root of a negative number")
     if n == 0:
         return 0
-    x = 1 << -(-n.bit_length() // 3)
+    bits = n.bit_length()
+    if bits < 512:
+        x = 1 << -(-bits // 3)
+    else:
+        k = bits // 6
+        x = (icbrt(n >> 3 * k) + 1) << k
     while True:
         y = (2 * x + n // (x * x)) // 3
         if y >= x:

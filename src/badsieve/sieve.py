@@ -16,7 +16,9 @@ never lists its R^3 children: every vector's kills are kept as merged
 closed i-ranges per row, the union is merged per row, and the survivor is
 picked by a sweep over the range endpoints. Time and memory are
 O(window x strips x R) per level; the full R^3 scan exists only as an
-oracle in the verify module.
+oracle in the verify module. Most window vectors meet no strip at all:
+sieve_step builds the level's common-denominator frame (below) once, and a
+vector whose strip range over it is empty costs O(1), with no row walk.
 
 The strip walk and the base test put the rectangle's corner, child widths
 and epsilon over one common denominator D and take each floor, ceil and
@@ -59,6 +61,12 @@ class SieveConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("R", "depth", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ConfigError(f"{name} must be an integer, not {value!r}")
+        if not isinstance(self.policy, str):
+            raise ConfigError(f"policy must be a string, not {self.policy!r}")
         if self.R < 2:
             raise ConfigError("R must be at least 2")
         if self.depth < 0:
@@ -125,15 +133,24 @@ class Rectangle:
         return Fraction(2 * X1 + R * R * C1, 2 * D), Fraction(2 * X2 + R * C2, 2 * D)
 
 
+# (D, X1, X2, C1, C2, E): a rectangle over one common denominator, see _frame
+Frame = tuple[int, int, int, int, int, int]
+
+
 def child_rect(B: Rectangle, cfg: SieveConfig, i: int, j: int) -> Rectangle:
     R = cfg.R
     if not (0 <= i < R * R and 0 <= j < R):
         raise ConfigError(f"chosen child ({i}, {j}) is out of range for R={R}")
-    D, X1, X2, C1, C2, _ = _frame(B, cfg)
-    return Rectangle(Fraction(X1 + i * C1, D), Fraction(X2 + j * C2, D), B.level + 1)
+    return _child(_frame(B, cfg), B.level, i, j)
 
 
-def _frame(B: Rectangle, cfg: SieveConfig) -> tuple[int, int, int, int, int, int]:
+def _child(frame: Frame, level: int, i: int, j: int) -> Rectangle:
+    """Child (i, j) of the level-`level` rectangle whose _frame is frame."""
+    D, X1, X2, C1, C2, _ = frame
+    return Rectangle(Fraction(X1 + i * C1, D), Fraction(X2 + j * C2, D), level + 1)
+
+
+def _frame(B: Rectangle, cfg: SieveConfig) -> Frame:
     """B over one common denominator D: the integers (D, X1, X2, C1, C2, E)
     with corner (X1/D, X2/D), child widths C1/D and C2/D, and epsilon E/D.
     The strip walk, base test, child corner and centre use this frame: the
@@ -166,8 +183,14 @@ def rect_clear(B: Rectangle, v, cfg: SieveConfig) -> bool:
     """True when the closed form-value range of v over B avoids every open
     strip, i.e. the whole rectangle keeps ||eta . m|| >= eps with equality
     possible only on the boundary."""
-    D, X1, X2, C1, C2, E = _frame(B, cfg)
-    return not _strips(v.m1 * X1 + v.m2 * X2, v.m1 * C1, v.m2 * C2, D, E, cfg.R)
+    return _clear(_frame(B, cfg), v, cfg.R)
+
+
+def _clear(frame: Frame, v, R: int) -> bool:
+    """rect_clear on a rectangle's _frame, so that one frame serves every
+    vector of a level."""
+    D, X1, X2, C1, C2, E = frame
+    return not _strips(v.m1 * X1 + v.m2 * X2, v.m1 * C1, v.m2 * C2, D, E, R)
 
 
 def merge_ranges(ranges: list[tuple[int, int]]) -> list[tuple[int, int]]:
@@ -369,20 +392,25 @@ def sieve_step(
         raise IncompleteSequence(f"level {n} needs records complete to M^2 = {hi}")
     window = [v for v in seq.vectors if lo < v.height_sq <= hi]
     window.sort(key=lambda v: v.kind)  # stable: Type1 first, each in index order
+    frame = _frame(rect, cfg)
     marks = []
     union: KillRows = {}
     for v in window:
-        rows = dangerous_children(rect, v, cfg)
+        kills = 0
+        # most vectors meet no strip over the rectangle and kill nothing
+        if not _clear(frame, v, R):
+            rows = dangerous_children(rect, v, cfg)
+            kills = _count_covered(rows)
+            for j, ranges in rows.items():
+                union.setdefault(j, []).extend(ranges)
         marks.append(
             VectorMark(
                 index=v.index,
                 kind=v.kind,
-                kills=_count_covered(rows),
+                kills=kills,
                 gap_ok=gap_condition(rect, v, cfg),
             )
         )
-        for j, ranges in rows.items():
-            union.setdefault(j, []).extend(ranges)
     union = {j: merge_ranges(r) for j, r in union.items()}
     union_kills = _count_covered(union)
     stats = DangerStats(tuple(marks), union_kills, R**3 - union_kills)
@@ -398,7 +426,7 @@ def sieve_step(
     if cfg.policy == "random":
         k = random.Random(f"{cfg.seed}:{n}").randrange(stats.survivors)
     chosen = kth_survivor(union, R, k)
-    return child_rect(rect, cfg, *chosen), LevelRecord(rect, stats, chosen)
+    return _child(frame, n, *chosen), LevelRecord(rect, stats, chosen)
 
 
 @dataclass(frozen=True)
@@ -451,7 +479,11 @@ def run_sieve(
     in_range = tuple(v for v in seq.vectors if v.height_sq <= bound)
     if not in_range:
         raise InvariantViolation("no vectors at all below the certified bound")
-    sub = BestApproxSequence(theta=theta, height_sq_max=bound, vectors=in_range)
+    # seq itself when it already is the truncation, so that runs over one
+    # sequence share its cached fingerprint
+    sub = seq
+    if seq.height_sq_max != bound or len(in_range) != len(seq.vectors):
+        sub = BestApproxSequence(theta=theta, height_sq_max=bound, vectors=in_range)
     validate_precision(theta, bound, in_range[-1].zeta)
 
     base = rect = select_base(cfg, sub)

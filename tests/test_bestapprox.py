@@ -20,6 +20,7 @@ from badsieve.bestapprox import (
     canonical_class,
     enumerate_best_approx,
     export_sequence_lines,
+    sequence_fingerprint,
     vector_kind,
 )
 from badsieve.catalog import get_entry
@@ -29,7 +30,13 @@ from badsieve.errors import (
     PrecisionExhausted,
 )
 from badsieve.lattice import _reduce
-from badsieve.rationals import ThetaForm, ceil_isqrt, form_value, validate_precision
+from badsieve.rationals import (
+    ThetaForm,
+    ceil_isqrt,
+    fingerprint,
+    form_value,
+    validate_precision,
+)
 from badsieve.verify import brute_best_approx
 
 SQRT_PAIR = get_entry("sqrt2-sqrt3").theta
@@ -493,6 +500,25 @@ def test_export_negative_m0_and_m1_matches_json_dumps():
     out = export_sequence_lines(seq)
     assert '"m0":-3,"m1":-7,' in out
     assert out == _json_lines(seq)
+
+
+def test_fingerprint_is_cached_per_sequence(monkeypatch):
+    seq = enumerate_best_approx(SQRT_PAIR, 8**6)
+    want = fingerprint(f"height_sq_max={8**6}\n" + export_sequence_lines(seq))
+    exports = []
+    monkeypatch.setattr(
+        bestapprox, "export_sequence_lines",
+        lambda s: exports.append(s) or export_sequence_lines(s),
+    )
+    assert seq.fingerprint == want
+    assert sequence_fingerprint(seq) == want
+    assert exports == [seq]
+    # a copy with other vectors is a new sequence with its own fingerprint
+    short = dataclasses.replace(seq, vectors=seq.vectors[:-1])
+    assert sequence_fingerprint(short) == fingerprint(
+        f"height_sq_max={8**6}\n" + export_sequence_lines(short)
+    ) != want
+    assert exports == [seq, short]
 
 
 @_DESK_AND_DEEP

@@ -1,4 +1,5 @@
 import linecache
+import random
 import sys
 
 import pytest
@@ -179,6 +180,18 @@ def test_icbrt_around_cubes_to_2_1000():
             got = icbrt(n)
             assert type(got) is int
             assert got == want, k
+
+
+def test_icbrt_past_512_bits():
+    # from 512 bits the start is the root of n's leading half, recursively
+    rng = random.Random(26)
+    ns = [rng.getrandbits(rng.randrange(500, 6000)) for _ in range(2000)]
+    for r in (rng.getrandbits(b) | 1 << (b - 1) for b in range(160, 2000, 7)):
+        ns += [r**3 - 1, r**3, r**3 + 1]
+    for n in ns:
+        r = icbrt(n)
+        assert type(r) is int
+        assert r**3 <= n < (r + 1) ** 3, n
 
 
 def test_icbrt_rejects_negative():

@@ -9,10 +9,12 @@ from types import SimpleNamespace
 
 from conftest import expand_rows
 
+from badsieve import bestapprox, sieve
 from badsieve.bestapprox import (
     BestApproxSequence,
     BestApproxVector,
     enumerate_best_approx,
+    export_sequence_lines,
 )
 from badsieve.catalog import get_entry
 from badsieve.errors import ConfigError, IncompleteSequence, NoBaseFound, PrecisionExhausted
@@ -29,6 +31,7 @@ from badsieve.sieve import (
     Rectangle,
     SieveConfig,
     VectorMark,
+    _count_covered,
     child_rect,
     dangerous_children,
     gap_condition,
@@ -63,6 +66,28 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         SieveConfig(R=4, depth=2, policy="bogus")
     SieveConfig(R=4, depth=0)  # depth 0 allowed
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"R": 4.0}, "R must be an integer, not 4.0"),
+        ({"R": True}, "R must be an integer, not True"),
+        ({"depth": 1.0}, "depth must be an integer, not 1.0"),
+        ({"depth": True}, "depth must be an integer, not True"),
+        ({"seed": 1.5}, "seed must be an integer, not 1.5"),
+        ({"seed": False}, "seed must be an integer, not False"),
+        ({"seed": "7"}, "seed must be an integer, not '7'"),
+        ({"policy": None}, "policy must be a string, not None"),
+        ({"policy": ["lex"]}, "policy must be a string, not ['lex']"),
+    ],
+)
+def test_config_field_types(fields, message):
+    # a bool is an int, so it is refused by name; a float or str would fail
+    # deep in the run with a bare TypeError or AttributeError
+    with pytest.raises(ConfigError) as exc:
+        SieveConfig(**{"R": 4, "depth": 1, **fields})
+    assert str(exc.value) == message
 
 
 def test_seed_past_the_digit_limit_is_config_error(default_digit_limit):
@@ -717,6 +742,61 @@ def test_step_union_merges_overlapping_kills():
         ]
         k = 0 if policy == "lex" else random.Random(f"{seed}:0").randrange(48)
         assert rec.chosen == survivors[k]
+
+
+def test_clear_vectors_skip_the_row_walk(monkeypatch):
+    # sieve_step walks the rows only for vectors whose strips meet the
+    # rectangle; every other mark has 0 kills, as the walk would have found
+    walked = []
+
+    def counted(B, v, cfg):
+        walked.append((B, v.index))
+        return dangerous_children(B, v, cfg)
+
+    monkeypatch.setattr(sieve, "dangerous_children", counted)
+    skipped = met = 0
+    for pair in ("sqrt2-sqrt3", "golden-pair", "liouville"):
+        theta = get_entry(pair).theta
+        seq = enumerate_best_approx(theta, 8**6)
+        for seed in range(20):
+            cfg = SieveConfig(R=8, depth=3, policy="random", seed=seed)
+            walked.clear()
+            _, journal = run_sieve(theta, cfg, seq)
+            expected = []
+            for rec in journal.levels:
+                for mark in rec.stats.per_vector:
+                    v = seq.vectors[mark.index - 1]
+                    rows = dangerous_children(rec.rect, v, cfg)
+                    assert mark.kills == _count_covered(rows)
+                    if rect_clear(rec.rect, v, cfg):
+                        skipped += 1
+                    else:
+                        expected.append((rec.rect, v.index))
+            assert walked == expected
+            met += len(walked)
+    assert skipped > met > 0
+
+
+def test_run_sieve_same_bytes_past_and_at_the_bound(monkeypatch):
+    # a sequence enumerated exactly to the bound is its own truncation, so
+    # runs over it hash it once; one enumerated further is truncated per run
+    exports = []
+    monkeypatch.setattr(
+        bestapprox, "export_sequence_lines",
+        lambda s: exports.append(s) or export_sequence_lines(s),
+    )
+    for pair in ("sqrt2-sqrt3", "golden-pair", "liouville"):
+        theta = get_entry(pair).theta
+        exact = enumerate_best_approx(theta, 8**6)
+        longer = enumerate_best_approx(theta, 8**7)
+        assert len(longer.vectors) > len(exact.vectors)
+        exports.clear()
+        for seed in range(5):
+            cfg = SieveConfig(R=8, depth=3, policy="random", seed=seed)
+            runs = [run_sieve(theta, cfg, s) for s in (exact, longer)]
+            assert len({journal_text(j) for _, j in runs}) == 1
+            assert len({certificate_json(c) for c, _ in runs}) == 1
+        assert [s is exact for s in exports] == [True] + [False] * 5
 
 
 def test_run_sieve_nesting_and_margin():
