@@ -52,6 +52,7 @@ from .verify import (
     grid_dangerous_children,
     linear_form_score,
     linear_weighted_min_scan,
+    validate_scan_bound,
 )
 
 EXIT_CODES = {
@@ -286,6 +287,7 @@ def _verified_path(cert_path: str, out) -> Path:
 
 
 def cmd_verify(args) -> int:
+    validate_scan_bound(args.Q)
     cert = parse_certificate(Path(args.certificate).read_text())
     theta = cert.theta
     seq = enumerate_best_approx(theta, cert.height_sq_bound)

@@ -12,7 +12,10 @@ so over the box each u[i] lies in an interval with centre c*adj(B)[:, i]/det,
 c the box's centre, and radius sum_j |adj(B)[j][i]|*(hi_j - lo_j)/(2|det|)
 (Cramer's rule); box_points lists that integer parallelepiped and filters
 the box exactly. _reduce only keeps it small: it shortens B in the metric
-in which the box is a cube.
+in which the box is a cube. Both work on local ints, the nine entries of B
+and, in _reduce, the six distinct entries of its Gram matrix: at desk scale
+(168-600-bit entries) most of a query's time is interpreter overhead, not
+big-integer arithmetic.
 """
 
 from __future__ import annotations
@@ -25,36 +28,55 @@ def _reduce(b: list[list[int]], w: tuple[int, int, int]) -> None:
     against rows 0 and 1 (Cramer coordinates c/det). The moves depend on G
     alone, so with w the squared column scales they are the moves of the
     column-scaled rows under unit weights. On return norms are sorted, rows
-    0, 1 Lagrange-reduced, |2*c[i]| <= det."""
+    0, 1 Lagrange-reduced, |2*c[i]| <= det.
+
+    The rows live in nine local ints and G in six (gij, i <= j), updated in
+    place by each move; b is written once, on return. The sort is a bubble
+    sort of three compare-and-swaps, each on strict <, so rows of equal norm
+    keep their order, as under a stable sort."""
     w0, w1, w2 = w
-    G = [[0] * 3 for _ in range(3)]
-    for i, j in (0, 0), (1, 0), (1, 1), (2, 0), (2, 1), (2, 2):
-        (x0, x1, x2), (y0, y1, y2) = b[i], b[j]
-        G[i][j] = G[j][i] = x0 * y0 * w0 + x1 * y1 * w1 + x2 * y2 * w2
-
-    def sub(i: int, j: int, q: int) -> None:  # row i -= q * row j
-        if q:
-            (x0, x1, x2), (y0, y1, y2) = b[i], b[j]
-            b[i] = [x0 - q * y0, x1 - q * y1, x2 - q * y2]
-            Gi, Gj = G[i], G[j]
-            Gi[i] += q * q * Gj[j] - 2 * q * Gi[j]
-            for k in 0, 3 - i:  # the other two rows; i is 1 or 2
-                Gi[k] = G[k][i] = Gi[k] - q * Gj[k]
-
+    (x0, x1, x2), (y0, y1, y2), (z0, z1, z2) = b
+    u0, u1, u2 = x0 * w0, x1 * w1, x2 * w2
+    v0, v1, v2 = y0 * w0, y1 * w1, y2 * w2
+    g00 = x0 * u0 + x1 * u1 + x2 * u2
+    g11 = y0 * v0 + y1 * v1 + y2 * v2
+    g22 = z0 * z0 * w0 + z1 * z1 * w1 + z2 * z2 * w2
+    g01 = y0 * u0 + y1 * u1 + y2 * u2
+    g02 = z0 * u0 + z1 * u1 + z2 * u2
+    g12 = z0 * v0 + z1 * v1 + z2 * v2
     while True:
-        order = sorted(range(3), key=lambda i: G[i][i])
-        if order != [0, 1, 2]:
-            b[:] = [b[i] for i in order]
-            G[:] = [[G[i][j] for j in order] for i in order]
-        if 2 * abs(G[1][0]) > G[0][0]:
-            sub(1, 0, (2 * G[1][0] + G[0][0]) // (2 * G[0][0]))
+        if g11 < g00:  # swap rows 0 and 1
+            x0, x1, x2, y0, y1, y2 = y0, y1, y2, x0, x1, x2
+            g00, g11, g02, g12 = g11, g00, g12, g02
+        if g22 < g11:  # swap rows 1 and 2, then 0 and 1 again if need be
+            y0, y1, y2, z0, z1, z2 = z0, z1, z2, y0, y1, y2
+            g11, g22, g01, g02 = g22, g11, g02, g01
+            if g11 < g00:
+                x0, x1, x2, y0, y1, y2 = y0, y1, y2, x0, x1, x2
+                g00, g11, g02, g12 = g11, g00, g12, g02
+        if 2 * abs(g01) > g00:  # row 1 -= q * row 0, q != 0
+            q = (2 * g01 + g00) // (2 * g00)
+            y0, y1, y2 = y0 - q * x0, y1 - q * x1, y2 - q * x2
+            g11 += q * q * g00 - 2 * q * g01
+            g01 -= q * g00
+            g12 -= q * g02
             continue
-        det = G[0][0] * G[1][1] - G[0][1] ** 2
-        c0 = G[1][1] * G[2][0] - G[0][1] * G[2][1]
-        c1 = G[0][0] * G[2][1] - G[0][1] * G[2][0]
-        sub(2, 0, (2 * c0 + det) // (2 * det))
-        sub(2, 1, (2 * c1 + det) // (2 * det))
-        if G[2][2] >= G[1][1]:  # else row 2 got shorter and the norm sum fell
+        det = g00 * g11 - g01 * g01
+        two = 2 * det
+        q0 = (2 * (g11 * g02 - g01 * g12) + det) // two
+        q1 = (2 * (g00 * g12 - g01 * g02) + det) // two
+        if q0:  # row 2 -= q0 * row 0
+            z0, z1, z2 = z0 - q0 * x0, z1 - q0 * x1, z2 - q0 * x2
+            g22 += q0 * q0 * g00 - 2 * q0 * g02
+            g02 -= q0 * g00
+            g12 -= q0 * g01
+        if q1:  # row 2 -= q1 * row 1
+            z0, z1, z2 = z0 - q1 * y0, z1 - q1 * y1, z2 - q1 * y2
+            g22 += q1 * q1 * g11 - 2 * q1 * g12
+            g02 -= q1 * g01
+            g12 -= q1 * g11
+        if g22 >= g11:  # else row 2 got shorter and the norm sum fell
+            b[:] = [[x0, x1, x2], [y0, y1, y2], [z0, z1, z2]]
             return
 
 

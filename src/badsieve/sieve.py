@@ -281,23 +281,26 @@ def gap_condition(B: Rectangle, v, cfg: SieveConfig) -> bool:
 def select_base(cfg: SieveConfig, seq: BestApproxSequence) -> Rectangle:
     """First corner on the grid (i/(4R), j/(4R)), scanned lexicographically
     from (1, 1), whose level-0 rectangle clears the strips of every best
-    approximation vector with M^2 <= 1."""
+    approximation vector with M^2 <= 1. Every corner is tested on one frame
+    over D = lcm(4R, R^5), a multiple of each corner's own _frame
+    denominator, so each floor and ceil is the same; a corner is on the grid
+    while i/(4R) + delta < 1, i.e. i*R^2 + 4 < 4R^3."""
     if seq.height_sq_max < 1:
         raise IncompleteSequence("base selection needs completeness to M^2 = 1")
     constraints = [v for v in seq.vectors if v.height_sq <= 1]
     R = cfg.R
-    g = Fraction(1, 4 * R)
+    D = lcm(4 * R, R**5)
+    G, C1, E = D // (4 * R), D // R**5, D // R**4
+    end = 4 * R**3
     for i in range(1, 4 * R):
-        b1 = i * g
-        if b1 + cfg.delta >= 1:
+        if i * R * R + 4 >= end:
             break
         for j in range(1, 4 * R):
-            b2 = j * g
-            if b2 + cfg.delta >= 1:
+            if j * R * R + 4 >= end:
                 break
-            rect = Rectangle(b1, b2, 0)
-            if all(rect_clear(rect, v, cfg) for v in constraints):
-                return rect
+            frame = (D, i * G, j * G, C1, E, E)
+            if all(_clear(frame, v, R) for v in constraints):
+                return Rectangle(Fraction(i, 4 * R), Fraction(j, 4 * R), 0)
     raise NoBaseFound(
         f"no base rectangle on the 1/(4R) grid clears {len(constraints)} "
         "unit-height constraints; R is too small for this theta"

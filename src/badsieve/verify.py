@@ -57,6 +57,13 @@ class ScoreReport:
         return float(self.score_cubed) ** (1.0 / 3.0)
 
 
+def validate_scan_bound(Q: int) -> None:
+    """The one rule on a q-scan's bound: Q >= 1. cmd_verify checks it
+    before any work, and each scan before its own."""
+    if Q < 1:
+        raise ConfigError("scan bound must be >= 1")
+
+
 def _scan_report(Q: int, D: int, best: int, argmin: int, trace, work=None) -> ScoreReport:
     """The ScoreReport of a q-scan done in integers over the common
     denominator D: best and each trace value (q, cubed) are cubed scores
@@ -81,8 +88,7 @@ def linear_weighted_min_scan(
     max(q^2 d1^3, q d2^3) / D^3 with d1, d2 the scaled distances, so the whole
     scan is integer-only. Residues advance incrementally; no per-q division.
     """
-    if Q < 1:
-        raise ConfigError("scan bound must be >= 1")
+    validate_scan_bound(Q)
     D, (a1, a2, n1, n2) = over_common_denominator(t1, t2, e1, e2)
     r1, r2 = -n1 % D, -n2 % D
     best = None
@@ -109,8 +115,7 @@ def _weighted_score(
     """linear_weighted_min_scan's report, from modmin.weighted_min_scan on
     the numerators over the common denominator D, with the scan's work
     counters."""
-    if Q < 1:
-        raise ConfigError("scan bound must be >= 1")
+    validate_scan_bound(Q)
     D, (a1, a2, n1, n2) = over_common_denominator(t1, t2, e1, e2)
     work = {}
     best, best_q, trace = weighted_min_scan(a1, -n1, a2, -n2, D, Q, work)

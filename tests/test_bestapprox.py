@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import random
 
@@ -207,6 +208,49 @@ def test_weighted_reduction_equals_scaled_reduction():
         assert weighted == [[x // c for x, c in zip(row, scale)] for row in scaled]
 
 
+# Bases whose rows tie in norm, and the basis _reduce leaves, pinned: the
+# one place a sort by compare-and-swap could part from a stable sort. Unit
+# weights with equal or permuted rows; the enumerator's rows [1, 0, A1],
+# [0, 1, A2], [0, 0, D] and the scan's [1, a1, a2], [0, D, 0], [0, 0, D]
+# with weights that make all three norms equal.
+TIED_BASES = [
+    ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], (1, 1, 1), [[1, 0, 0], [0, 1, 0], [0, 0, 1]]),
+    ([[0, 0, 1], [1, 0, 0], [0, 1, 0]], (1, 1, 1), [[0, 0, 1], [1, 0, 0], [0, 1, 0]]),
+    ([[1, 2, 3], [3, 1, 2], [2, 3, 1]], (1, 1, 1), [[2, -1, -1], [1, 1, -2], [1, 2, 3]]),
+    ([[2, 3, 1], [1, 2, 3], [3, 1, 2]], (1, 1, 1), [[-1, -1, 2], [1, -2, 1], [2, 3, 1]]),
+    ([[1, 1, 0], [0, 1, 1], [1, 0, 1]], (1, 1, 1), [[1, 1, 0], [0, 1, 1], [1, 0, 1]]),
+    ([[5, 0, 0], [3, 4, 0], [0, 0, 5]], (1, 1, 1), [[-2, 4, 0], [5, 0, 0], [0, 0, 5]]),
+    ([[1, 0, 3], [0, 1, 4], [0, 0, 5]], (16, 9, 1), [[0, -1, 1], [-1, 0, 2], [0, 0, 5]]),
+    ([[0, 1, 4], [1, 0, 3], [0, 0, 5]], (16, 9, 1), [[0, -1, 1], [1, 0, -2], [0, 0, 5]]),
+    ([[1, 0, 7], [0, 1, 24], [0, 0, 25]], (576, 49, 1), [[0, -1, 1], [1, 0, 7], [0, 0, 25]]),
+    ([[1, 2, 2], [0, 3, 0], [0, 0, 3]], (1, 1, 1), [[-1, 1, 1], [-1, 1, -2], [2, 1, 1]]),
+]
+
+
+@pytest.mark.parametrize("b0, w, reduced", TIED_BASES)
+def test_reduce_tied_norms_pinned(b0, w, reduced):
+    b = [row[:] for row in b0]
+    _reduce(b, w)
+    assert b == reduced
+
+
+def test_reduce_small_entries_pinned():
+    # 3000 nonsingular bases with entries in [-2, 2], where rows tie in norm
+    # at most passes; the SHA-256 of their reduced bases is pinned
+    rng = random.Random("reduce-ties")
+    digest, count = hashlib.sha256(), 0
+    while count < 3000:
+        b = [[rng.randint(-2, 2) for _ in range(3)] for _ in range(3)]
+        if _det3(b) == 0:
+            continue
+        _reduce(b, rng.choice([(1, 1, 1), (1, 1, 4), (4, 1, 1), (1, 4, 4), (9, 4, 1)]))
+        digest.update(repr(b).encode())
+        count += 1
+    assert digest.hexdigest() == (
+        "d8eedf86cb373bb10d1722f6f39db085ab31564bc50d6bdc161c11c4bcb4ed9b"
+    )
+
+
 def _listing_sizes(monkeypatch, theta, H, limit):
     """Enumerate to H and return, for each box query, the number of
     parallelepiped points lattice.box_points listed for it, as bestapprox
@@ -260,6 +304,18 @@ def test_box_query_count(monkeypatch, theta, H, queries):
     assert len(calls) <= queries
     if H == 2**32 and theta == SQRT_PAIR:
         assert len(calls) < len(seq.vectors) == 42
+
+
+@pytest.mark.parametrize(
+    "name, queries, listed",
+    [("sqrt2-sqrt3", 29, 254), ("golden-pair", 32, 284), ("liouville", 34, 144)],
+)
+def test_box_work_pinned(monkeypatch, name, queries, listed):
+    # the records stay exact under any reduction, but another sequence of
+    # moves changes how many points the queries list, and so may the gallop's
+    # query count: both are pinned exactly
+    sizes = _listing_sizes(monkeypatch, get_entry(name).theta, 2**32, limit=64)
+    assert (len(sizes), sum(sizes)) == (queries, listed)
 
 
 _theta_coord = st.integers(2, 10**4).flatmap(

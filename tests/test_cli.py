@@ -196,6 +196,25 @@ def test_verify_smoke_Q1(small_run, capsys):
     assert stamped.bad_theta_score_at_Q == (1, max(d1, d2) ** 3)
 
 
+@pytest.mark.parametrize("Q", ["0", "-3"])
+def test_verify_bad_Q_fails_before_any_work(small_run, tmp_path, monkeypatch, capsys, Q):
+    # the scan bound is checked first: no re-enumeration, nothing printed
+    # to stdout, no stamped copy
+    def never(*args):
+        raise AssertionError("verify enumerated before checking --Q")
+
+    monkeypatch.setattr(cli, "enumerate_best_approx", never)
+    target = tmp_path / "stamped.json"
+    code = run_cli(
+        "verify", str(small_run / "certificate.json"), "--Q", Q, "--out", str(target)
+    )
+    assert code == 5
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.strip() == "config error: scan bound must be >= 1"
+    assert not target.exists()
+
+
 def test_verify_trace_and_out(small_run, tmp_path, capsys):
     cert_path = tmp_path / "certificate.json"
     cert_path.write_bytes((small_run / "certificate.json").read_bytes())

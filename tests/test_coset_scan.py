@@ -120,3 +120,22 @@ def test_scan_stops_at_the_modulus():
     assert work["scored"] == 1 and work["blocks"] <= 2
     half, quarter = Fraction(1, 2), Fraction(1, 4)
     assert _agrees(half, half, quarter, quarter, 1000)
+
+
+@pytest.mark.parametrize(
+    "name, theta_work, alpha_beta_work",
+    [("sqrt2-sqrt3", (6, 72, 25), (5, 72, 17)),
+     ("golden-pair", (5, 39, 13), (5, 53, 22)),
+     ("liouville", (4, 28, 13), (5, 64, 31))],
+)
+def test_verify_scan_work_pinned(name, theta_work, alpha_beta_work):
+    # verify --Q 10^6 on the R=16 depth 2 random seed 0 certificates: the
+    # scores are exact under any reduction, the blocks, listed points and
+    # scored q of both scans are pinned
+    cfg = SieveConfig(R=16, depth=2, policy="random", seed=0)
+    theta = get_entry(name).theta
+    cert, _ = run_sieve(theta, cfg, enumerate_best_approx(theta, cfg.height_sq_bound()))
+    zero = Fraction(0)
+    for eta, work in (cert.eta, theta_work), ((zero, zero), alpha_beta_work):
+        rep = _weighted_score(theta.theta1, theta.theta2, *eta, 10**6)
+        assert rep.work == dict(zip(("blocks", "listed", "scored"), work))

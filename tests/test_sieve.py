@@ -641,6 +641,67 @@ def test_select_base_needs_unit_completeness():
         select_base(cfg, fabricated_seq(theta, [], hmax=0))
 
 
+def _select_base_fractions(cfg, seq):
+    """The reference scan in Fractions: each corner (i*g, j*g), g = 1/(4R),
+    tested by rect_clear on its own level-0 Rectangle, and the edge by
+    corner + delta >= 1. None where select_base raises NoBaseFound."""
+    constraints = [v for v in seq.vectors if v.height_sq <= 1]
+    g = Fraction(1, 4 * cfg.R)
+    for i in range(1, 4 * cfg.R):
+        if i * g + cfg.delta >= 1:
+            break
+        for j in range(1, 4 * cfg.R):
+            if j * g + cfg.delta >= 1:
+                break
+            rect = Rectangle(i * g, j * g, 0)
+            if all(rect_clear(rect, v, cfg) for v in constraints):
+                return rect
+    return None
+
+
+def _unit_seq(vectors):
+    # fabricated constraints, all at height 1 as select_base reads them
+    seq = fabricated_seq(SQRT_PAIR, vectors)
+    units = tuple(dataclasses.replace(v, height_sq=1) for v in seq.vectors)
+    return dataclasses.replace(seq, vectors=units)
+
+
+def _random_unit_constraints(count):
+    """count fabricated sets of 2-5 unit constraints with |m1| <= 40 and
+    m2 <= 8: their strips strike corners past (1, 1) and leave no base at
+    some R."""
+    rng = random.Random("select-base")
+    for _ in range(count):
+        vs = [(rng.randint(-40, 40), rng.randint(0, 8)) for _ in range(rng.randint(2, 5))]
+        yield _unit_seq([v for v in vs if v != (0, 0)])
+
+
+@pytest.mark.parametrize(
+    "seq",
+    [enumerate_best_approx(get_entry(name).theta, 1)
+     for name in ("sqrt2-sqrt3", "golden-pair", "liouville")]
+    + [_unit_seq([(1, 0), (0, 1), (1, 1), (-1, 1), (2, 1), (-2, 1)]), _unit_seq([(4, 0)]),
+       _unit_seq([(-1, 5)]), _unit_seq([(5, 1), (-1, 2)])]
+    + list(_random_unit_constraints(12)),
+    ids=["sqrt2-sqrt3", "golden-pair", "liouville", "struck", "x1-every-quarter",
+         "edge-j", "edge-i"]
+    + [f"random-{k}" for k in range(12)],
+)
+def test_select_base_equals_fraction_scan(seq):
+    # one integer frame for every corner gives the Fraction scan's
+    # rectangle, or its NoBaseFound, at every R. At R = 2, edge-j's first
+    # clear corner would be (1/8, 7/8) and edge-i's (7/8, 3/4) if a corner
+    # whose rectangle reaches 1 counted as on the grid
+    for R in range(2, 65):
+        cfg = SieveConfig(R=R, depth=1)
+        want = _select_base_fractions(cfg, seq)
+        if want is None:
+            with pytest.raises(NoBaseFound):
+                select_base(cfg, seq)
+        else:
+            assert select_base(cfg, seq) == want
+
+
 # ----------------------------------------------------------------- stats
 
 
