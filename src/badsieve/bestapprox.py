@@ -41,8 +41,6 @@ from math import isqrt
 
 from .errors import ConfigError, DegenerateForm
 from .lattice import box_points
-# unused here; the benchmark's tracer (perfbench/spans.py) wraps this name
-from .modmin import first_reaching  # noqa: F401
 from .rationals import (
     ThetaForm,
     brief_rational,
@@ -52,6 +50,9 @@ from .rationals import (
     validate_precision,
     weighted_height_sq,
 )
+
+# nothing calls this; the benchmark's tracer (perfbench/spans.py) wraps the name
+first_reaching = None
 
 TYPE1 = 1  # |m1| > m2^2: the first coordinate carries the height
 TYPE2 = 2  # m2^2 >= |m1|
@@ -151,7 +152,7 @@ def enumerate_best_approx(theta: ThetaForm, height_sq_max: int) -> BestApproxSeq
     """
     H = height_sq_max
     if H < 0:
-        raise ConfigError(f"negative height bound {H}")
+        raise ConfigError(f"negative height bound {brief_rational(H)}")
     vectors: list[BestApproxVector] = []
     if H >= 1:
         D, (A1, A2) = over_common_denominator(theta.theta1, theta.theta2)

@@ -43,6 +43,7 @@ from .journal import (
     parse_certificate,
     parse_journal,
 )
+from .modmin import validate_scan_bound
 from .rationals import ThetaForm, parse_rational, theta_fingerprint
 from .sieve import POLICIES, SieveConfig, dangerous_children, run_sieve
 from .verify import (
@@ -52,7 +53,6 @@ from .verify import (
     grid_dangerous_children,
     linear_form_score,
     linear_weighted_min_scan,
-    validate_scan_bound,
 )
 
 EXIT_CODES = {

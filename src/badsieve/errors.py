@@ -40,10 +40,6 @@ class DegenerateForm(BadSieveError):
 class NoSurvivor(BadSieveError):
     """Every child rectangle at some level was killed by a resonance strip."""
 
-    def __init__(self, level, message=None):
-        super().__init__(message or f"no surviving child at level {level}")
-        self.level = level
-
 
 class NoBaseFound(BadSieveError):
     """No base rectangle on the coarse corner grid passed the strip test.

@@ -27,7 +27,13 @@ from math import isclose
 
 from .bestapprox import TYPE1, TYPE2
 from .errors import ConfigError
-from .rationals import ThetaForm, format_rational, parse_rational, theta_fingerprint
+from .rationals import (
+    ThetaForm,
+    brief_rational,
+    format_rational,
+    parse_rational,
+    theta_fingerprint,
+)
 from .sieve import (
     Certificate,
     DangerStats,
@@ -144,6 +150,11 @@ def _config(obj: dict) -> SieveConfig:
     )
 
 
+def _shown(value) -> str:
+    """repr(value) for an error message, an int through brief_rational."""
+    return brief_rational(value) if isinstance(value, int) else repr(value)
+
+
 def _check_derived(stored: dict, derived: dict) -> None:
     """stored must hold the keys the writer derives and no other, each
     stored[key] the value derived[key], JSON type included; else
@@ -156,7 +167,8 @@ def _check_derived(stored: dict, derived: dict) -> None:
         if isinstance(want, dict) and isinstance(got, dict):
             _check_derived(got, want)
         elif json.dumps(got, sort_keys=True) != json.dumps(want, sort_keys=True):
-            raise ConfigError(f"field {key!r} is {got!r}, but recomputed it is {want!r}")
+            got, want = _shown(got), _shown(want)
+            raise ConfigError(f"field {key!r} is {got}, but recomputed it is {want}")
 
 
 def _kind(mark: dict) -> int:
@@ -336,6 +348,10 @@ def parse_certificate(text: str) -> Certificate:
         verified_form_min=_rational(obj, "verified_form_min"),
         bad_theta_score_at_Q=score,
     )
+    # by bit length first, so that a forged depth never builds R^(2*depth)
+    n, bits = 2 * cert.config.depth, cert.config.R.bit_length()
+    if not n * (bits - 1) < _get(obj, "height_sq_bound", int).bit_length() <= n * bits + 1:
+        raise ConfigError("field 'height_sq_bound' has a bit length R^(2*depth) cannot have")
     derived = json.loads(_certificate_text(cert))
     if score is not None:  # a display float from libm's pow, last digit host-dependent
         got, want = _get(s, "score", float), derived["bad_theta_score_at_Q"]["score"]

@@ -2,8 +2,7 @@
 
   weighted_min_scan(a1, c1, a2, c2, m, Q, counts)   verify's weighted q-scan
   icbrt(n)                                          exact integer cube root
-  first_reaching(a, c, m, s, L)                     minimal x in [0, L] with
-                                                    (a*x + c) % m <= s
+  validate_scan_bound(Q)                            the one rule on Q: Q >= 1
 
 weighted_min_scan finds every strict running-minimum record of
 max(q^2 d1^3, q d2^3) over 1 <= q <= Q, d1 and d2 the distances of
@@ -14,70 +13,12 @@ record, and those q are lo + x for the points (x, y1, y2) of the 3-D
 lattice spanned by (1, a1, a2), (0, m, 0) and (0, 0, m) in a box: one
 exact box query of the lattice module per block, sized to hold a few
 lattice points, lists them and only they are scored. No float enters.
-
-first_reaching runs a Euclidean descent: the modulus at least halves per
-step, so the cost is O(log m) big-integer operations regardless of how wild
-the continued fraction of a/m is, and each level carries the largest wrap
-count that could still map back to an x <= L, so a caller that only wants
-witnesses up to L pays about log(L) levels. Residues repeat with period m,
-so L = m - 1 finds the first x overall. Nothing in the package calls it;
-the benchmark's tracer wraps the name.
 """
 
 from __future__ import annotations
 
+from .errors import ConfigError
 from .lattice import box_points
-
-
-def first_reaching(a: int, c: int, m: int, s: int, limit: int):
-    """Smallest x in [0, limit] with (a*x + c) % m <= s, or None if no such
-    x exists. s may be any integer; s < 0 or limit < 0 returns None, and
-    s >= m - 1 with limit >= 0 returns 0.
-    """
-    if m <= 0:
-        raise ValueError("modulus must be positive")
-    if s < 0 or limit < 0:
-        return None
-    a %= m
-    c %= m
-    stack = []
-    res = None
-    while True:
-        if c <= s:
-            res = 0
-            break
-        if a == 0:
-            break
-        # Now 0 <= s < c < m. Want minimal x >= 1 with (a*x) % m in [lo, hi].
-        lo = m - c
-        hi = m - c + s
-        if 2 * a > m:
-            # reflect: (a*x) % m in [lo, hi]  <=>  ((m-a)*x) % m in [m-hi, m-lo]
-            a = m - a
-            lo, hi = m - hi, m - lo
-        x0 = (lo + a - 1) // a
-        if x0 > limit:
-            # every solution has a*x >= lo, so x >= x0; equivalently the
-            # next level's wrap bound (limit*a - lo) // m would be negative
-            break
-        if a * x0 <= hi:
-            res = x0
-            break
-        # No multiple of a lands in [lo, hi] before the first wrap. Count wraps:
-        # need minimal k >= 0 with a multiple of a inside [m*k + lo, m*k + hi],
-        # i.e. (-(m*k + lo)) % a <= hi - lo. Same problem one size down.
-        # The answer x = ceil((m*k + lo) / a) is <= limit iff
-        # k <= (limit*a - lo) // m, which caps the next level (and is >= 0
-        # here because a*x0 >= lo).
-        stack.append((m, a, lo))
-        limit = (limit * a - lo) // m
-        a, c, m, s = (-m) % a, (-lo) % a, a, hi - lo
-    if res is None:
-        return None
-    while stack:
-        m, a, lo = stack.pop()
-        res = (m * res + lo + a - 1) // a
-    return res
 
 
 def icbrt(n: int) -> int:
@@ -104,6 +45,13 @@ def icbrt(n: int) -> int:
         if y >= x:
             return x
         x = y
+
+
+def validate_scan_bound(Q: int) -> None:
+    """The one rule on a q-scan's bound: Q >= 1. cli.cmd_verify
+    checks it before any work, and each scan before its own."""
+    if Q < 1:
+        raise ConfigError("scan bound must be >= 1")
 
 
 def weighted_min_scan(a1: int, c1: int, a2: int, c2: int, m: int, Q: int, counts: dict):
@@ -136,8 +84,7 @@ def weighted_min_scan(a1: int, c1: int, a2: int, c2: int, m: int, Q: int, counts
     block, narrower ones pay more reductions."""
     if m <= 0:
         raise ValueError("modulus must be positive")
-    if Q < 1:
-        raise ValueError("scan bound must be >= 1")
+    validate_scan_bound(Q)
     Q = min(Q, m)
     a1 %= m
     a2 %= m

@@ -70,10 +70,10 @@ def decimal_digits(n: int) -> int:
     return k
 
 
-def brief_rational(x: Fraction) -> str:
-    """str(x) while that text has at most 1,000 characters, for error
-    messages. Above that, numerator and denominator each show their leading
-    20 digits and their digit count, as in
+def brief_rational(x: Fraction | int) -> str:
+    """str(x), x a Fraction or an int, while that text has at most 1,000
+    characters, for error messages. Above that, numerator and denominator each
+    show their leading 20 digits and their digit count, as in
     '70710678118654752440...(4400 digits)/10000000000000000000...(4401 digits)'."""
     sign = "-" if x < 0 else ""
     parts = [abs(x.numerator)] + ([x.denominator] if x.denominator != 1 else [])
@@ -127,9 +127,10 @@ class ThetaForm:
     def __post_init__(self):
         for t in (self.theta1, self.theta2):
             if not (0 < t < 1):
-                raise ConfigError(f"theta component out of (0,1): {t}")
-        if not (0 <= self.declared_error < Fraction(1, 2)):
-            raise ConfigError(f"declared_error out of [0, 1/2): {self.declared_error}")
+                raise ConfigError(f"theta component out of (0,1): {brief_rational(t)}")
+        e = self.declared_error
+        if not (0 <= e < Fraction(1, 2)):
+            raise ConfigError(f"declared_error out of [0, 1/2): {brief_rational(e)}")
 
 
 def form_value(theta: ThetaForm, m1: int, m2: int) -> tuple[Fraction, int]:
@@ -179,12 +180,13 @@ def validate_precision(
     # err / (zeta / (10*(h + ceil_isqrt(h)))) >= 1: the digits of its floor
     miss = decimal_digits(margin // (zeta.numerator * q)) if zeta else 1
     extra = max(need - have, miss)
-    text = ("declared truncation error {} of theta is too coarse: the guard fails at "
-            "height_sq={}, zeta={}; height_sq_max={} needs at least {} decimal digits "
-            "of theta, the declared error gives {}: roughly {} more")
-    text = any_digits(text.format, brief_rational(theta.declared_error), height_sq,
-                      brief_rational(zeta), H, need, have, extra)
-    raise PrecisionExhausted(text, extra_digits=extra)
+    raise PrecisionExhausted(
+        f"declared truncation error {brief_rational(theta.declared_error)} of theta is too "
+        f"coarse: the guard fails at height_sq={brief_rational(height_sq)}, zeta="
+        f"{brief_rational(zeta)}; height_sq_max={brief_rational(H)} needs at least {need} "
+        f"decimal digits of theta, the declared error gives {have}: roughly {extra} more",
+        extra_digits=extra,
+    )
 
 
 def fingerprint(text: str) -> str:

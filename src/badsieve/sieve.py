@@ -47,7 +47,13 @@ from .errors import (
     NoBaseFound,
     NoSurvivor,
 )
-from .rationals import ThetaForm, decimal_digits, theta_fingerprint, validate_precision
+from .rationals import (
+    ThetaForm,
+    brief_rational,
+    decimal_digits,
+    theta_fingerprint,
+    validate_precision,
+)
 from .verify import linear_form_score
 
 POLICIES = ("lex", "random")
@@ -140,7 +146,8 @@ Frame = tuple[int, int, int, int, int, int]
 def child_rect(B: Rectangle, cfg: SieveConfig, i: int, j: int) -> Rectangle:
     R = cfg.R
     if not (0 <= i < R * R and 0 <= j < R):
-        raise ConfigError(f"chosen child ({i}, {j}) is out of range for R={R}")
+        raise ConfigError(f"chosen child ({brief_rational(i)}, {brief_rational(j)}) "
+                          f"is out of range for R={brief_rational(R)}")
     return _child(_frame(B, cfg), B.level, i, j)
 
 
@@ -392,7 +399,9 @@ def sieve_step(
     R = cfg.R
     lo, hi = R ** (2 * n), R ** (2 * (n + 1))
     if seq.height_sq_max < hi:
-        raise IncompleteSequence(f"level {n} needs records complete to M^2 = {hi}")
+        raise IncompleteSequence(
+            f"level {n} needs records complete to M^2 = {brief_rational(hi)}"
+        )
     window = [v for v in seq.vectors if lo < v.height_sq <= hi]
     window.sort(key=lambda v: v.kind)  # stable: Type1 first, each in index order
     frame = _frame(rect, cfg)
@@ -419,7 +428,6 @@ def sieve_step(
     stats = DangerStats(tuple(marks), union_kills, R**3 - union_kills)
     if stats.survivors == 0:
         raise NoSurvivor(
-            n + 1,
             f"all {R**3} children killed while refining level {n}; "
             "R is below the workable scale for this theta",
         )
@@ -476,8 +484,8 @@ def run_sieve(
     bound = cfg.height_sq_bound()
     if seq.height_sq_max < bound:
         raise IncompleteSequence(
-            f"sieve to depth {cfg.depth} needs completeness to M^2 = {bound}, "
-            f"sequence covers {seq.height_sq_max}"
+            f"sieve to depth {cfg.depth} needs completeness to M^2 = "
+            f"{brief_rational(bound)}, sequence covers {brief_rational(seq.height_sq_max)}"
         )
     in_range = tuple(v for v in seq.vectors if v.height_sq <= bound)
     if not in_range:
@@ -499,7 +507,8 @@ def run_sieve(
     vfm = linear_form_score(theta, eta, sub).exact_score
     if vfm <= cfg.epsilon:
         raise InvariantViolation(
-            f"certified margin failed: min form distance {vfm} <= eps {cfg.epsilon}"
+            f"certified margin failed: min form distance {brief_rational(vfm)} "
+            f"<= eps {brief_rational(cfg.epsilon)}"
         )
     cert = Certificate(
         theta=theta,

@@ -21,7 +21,7 @@ from math import ceil, floor, isqrt
 
 from .bestapprox import BestApproxSequence, BestApproxVector, vector_kind
 from .errors import ConfigError, DegenerateForm
-from .modmin import weighted_min_scan
+from .modmin import validate_scan_bound, weighted_min_scan
 from .rationals import (
     ThetaForm,
     brief_rational,
@@ -55,13 +55,6 @@ class ScoreReport:
         if self.exact_score is not None:
             return float(self.exact_score)
         return float(self.score_cubed) ** (1.0 / 3.0)
-
-
-def validate_scan_bound(Q: int) -> None:
-    """The one rule on a q-scan's bound: Q >= 1. cmd_verify checks it
-    before any work, and each scan before its own."""
-    if Q < 1:
-        raise ConfigError("scan bound must be >= 1")
 
 
 def _scan_report(Q: int, D: int, best: int, argmin: int, trace, work=None) -> ScoreReport:
@@ -115,7 +108,6 @@ def _weighted_score(
     """linear_weighted_min_scan's report, from modmin.weighted_min_scan on
     the numerators over the common denominator D, with the scan's work
     counters."""
-    validate_scan_bound(Q)
     D, (a1, a2, n1, n2) = over_common_denominator(t1, t2, e1, e2)
     work = {}
     best, best_q, trace = weighted_min_scan(a1, -n1, a2, -n2, D, Q, work)
@@ -179,7 +171,7 @@ def brute_best_approx(theta: ThetaForm, height_sq_max: int) -> BestApproxSequenc
     enumerator. Quadratic in the bound; keep bounds small."""
     H = height_sq_max
     if H < 0:
-        raise ConfigError(f"negative height bound {H}")
+        raise ConfigError(f"negative height bound {brief_rational(H)}")
     vectors: list[BestApproxVector] = []
     if H >= 1:
         # no reduction mod D: ThetaForm keeps 0 < theta_i < 1, so 0 < A_i < D

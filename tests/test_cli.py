@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from math import isqrt
 
 import pytest
@@ -12,14 +13,14 @@ from badsieve import cli
 from badsieve.bestapprox import enumerate_best_approx, sequence_fingerprint
 from badsieve.cli import main
 from badsieve.catalog import get_entry
-from badsieve.errors import ConfigError
+from badsieve.errors import ConfigError, IncompleteSequence, PrecisionExhausted
 from badsieve.journal import (
     certificate_json,
     journal_text,
     parse_certificate,
     parse_journal,
 )
-from badsieve.rationals import dist_to_nearest_int, format_rational, parse_rational
+from badsieve.rationals import ThetaForm, dist_to_nearest_int, format_rational, parse_rational
 from badsieve.sieve import SieveConfig, run_sieve
 from badsieve.verify import (
     bad_theta_score,
@@ -970,3 +971,50 @@ def test_main_restores_digit_limit(default_digit_limit, tmp_path, monkeypatch, c
         "best-approx", "--theta", "2/5,1/3", "--bound", "5", "--out", str(tmp_path / "s.txt"),
     ) == 2
     assert sys.get_int_max_str_digits() == 4300
+
+
+def _raised(kind, call):
+    """The message of the exception of exactly type kind that call raises."""
+    with pytest.raises(kind) as exc:
+        call()
+    assert type(exc.value) is kind
+    return str(exc.value)
+
+
+def _construct_depth_3000(tmp_path, capsys):
+    assert run_cli(
+        "construct", "--catalog", "sqrt2-sqrt3", "--R", "16", "--depth", "3000",
+        "--out", str(tmp_path),
+    ) == 4
+    return capsys.readouterr().err
+
+
+GOLDEN = get_entry("golden-pair").theta
+
+# Calls whose messages hold a number of over 4,300 digits: each returns the
+# message of the error it must raise, or the CLI's stderr.
+HUGE_NUMBERS = {
+    "theta-range": lambda tmp_path, capsys: _raised(
+        ConfigError, lambda: ThetaForm(Fraction(10**5000 + 1, 10**5000), Fraction(1, 3))
+    ),
+    "negative-bound": lambda tmp_path, capsys: _raised(
+        ConfigError, lambda: enumerate_best_approx(GOLDEN, -(10**5000))
+    ),
+    "incomplete": lambda tmp_path, capsys: _raised(
+        IncompleteSequence,
+        lambda: run_sieve(
+            GOLDEN, SieveConfig(R=16, depth=2000), enumerate_best_approx(GOLDEN, 16**4)
+        ),
+    ),
+    "precision": lambda tmp_path, capsys: _raised(
+        PrecisionExhausted, lambda: enumerate_best_approx(GOLDEN, 10**5000)
+    ),
+    "construct": _construct_depth_3000,
+}
+
+
+@pytest.mark.parametrize("case", list(HUGE_NUMBERS))
+def test_messages_show_huge_numbers_briefly(default_digit_limit, tmp_path, capsys, case):
+    message = HUGE_NUMBERS[case](tmp_path, capsys)
+    assert len(message) < 1000, message[:200]
+    assert "...(" in message and " digits)" in message, message

@@ -6,6 +6,7 @@ import pytest
 from badsieve import modmin
 from badsieve.bestapprox import enumerate_best_approx
 from badsieve.catalog import catalog_names, get_entry
+from badsieve.errors import ConfigError
 from badsieve.modmin import icbrt, weighted_min_scan
 from badsieve.sieve import SieveConfig, run_sieve
 from badsieve.verify import _weighted_score, linear_weighted_min_scan
@@ -67,6 +68,11 @@ def test_scan_stops_at_zero_inside_a_block():
         rep = _weighted_score(T1, T2, *eta, Q)
         assert rep.score_cubed == 0 and rep.argmin == k
         assert rep == linear_weighted_min_scan(T1, T2, *eta, Q)
+
+
+def test_scan_bound_below_one_is_config_error():
+    with pytest.raises(ConfigError, match=r"^scan bound must be >= 1$"):
+        weighted_min_scan(3, 5, 7, 0, 11, 0, {})
 
 
 def test_scan_modulus_one():

@@ -4,6 +4,7 @@ record, the representation they replace; and strings from a parsed file."""
 import dataclasses
 import json
 import sys
+import time
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
@@ -330,6 +331,21 @@ def test_parsers_refuse_an_integer_past_the_digit_limit(default_digit_limit):
     text = journal_text(journal).replace('"seed":0', f'"seed":{seed}')
     with pytest.raises(ConfigError, match="^journal line 1 is not valid JSON: .*digits"):
         parse_journal(text)
+
+
+@pytest.mark.parametrize("depth", [3000, 200000])
+def test_parse_certificate_refuses_a_forged_depth_fast(default_digit_limit, depth):
+    # the stored bound 8^4 has 13 bits, far below any R^(2*depth) for R = 8;
+    # it is refused before that power, of 18,000 or 1,200,000 bits, is built
+    cert, _ = _run("golden-pair", R=8, depth=2)
+    text = certificate_json(cert)
+    assert text.count('"depth": 2,') == 1
+    text = text.replace('"depth": 2,', f'"depth": {depth},')
+    start = time.perf_counter()
+    with pytest.raises(ConfigError, match="^field 'height_sq_bound' has a bit length") as exc:
+        parse_certificate(text)
+    assert time.perf_counter() - start < 1
+    assert len(str(exc.value)) < 1000
 
 
 def test_numbers_past_the_digit_limit(default_digit_limit):
