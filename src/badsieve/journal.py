@@ -151,8 +151,12 @@ def _config(obj: dict) -> SieveConfig:
 
 
 def _shown(value) -> str:
-    """repr(value) for an error message, an int through brief_rational."""
-    return brief_rational(value) if isinstance(value, int) else repr(value)
+    """value for an error message: an int or a Fraction through
+    brief_rational, any other value as its repr, cut to 1,000 characters."""
+    if isinstance(value, (int, Fraction)):
+        return brief_rational(value)
+    text = repr(value)
+    return text if len(text) <= 1000 else f"{text[:40]}...({len(text)} characters)"
 
 
 def _check_derived(stored: dict, derived: dict) -> None:
@@ -161,7 +165,7 @@ def _check_derived(stored: dict, derived: dict) -> None:
     ConfigError naming the key."""
     for key in stored:
         if key not in derived:
-            raise ConfigError(f"field {key!r} is not one the writer emits")
+            raise ConfigError(f"field {_shown(key)} is not one the writer emits")
     for key, want in derived.items():
         got = stored.get(key)
         if isinstance(want, dict) and isinstance(got, dict):
@@ -231,7 +235,7 @@ def parse_journal(text: str):
         raise ConfigError("journal does not start with a header record")
     ln, h = records[0]
     if h.get("schema") != SCHEMA:
-        raise ConfigError(f"unsupported journal schema {h.get('schema')}")
+        raise ConfigError(f"unsupported journal schema {_shown(h.get('schema'))}")
     with _at_line(ln):
         theta = _theta(h)
         cfg = _config(h)
@@ -338,7 +342,7 @@ def parse_certificate(text: str) -> Certificate:
         # display score would be complex or overflow a float
         if not 0 <= score[1] <= Fraction(1, 8):
             raise ConfigError(
-                f"field 'score_cubed' is {format_rational(score[1])}, outside [0, 1/8]"
+                f"field 'score_cubed' is {_shown(score[1])}, outside [0, 1/8]"
             )
     cert = Certificate(
         theta=_theta(t),

@@ -15,6 +15,7 @@ import hashlib
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import isqrt, lcm
 
 from .errors import ConfigError, PrecisionExhausted
@@ -132,6 +133,15 @@ class ThetaForm:
         if not (0 <= e < Fraction(1, 2)):
             raise ConfigError(f"declared_error out of [0, 1/2): {brief_rational(e)}")
 
+    @cached_property
+    def fingerprint(self) -> str:
+        """Stable identity of the pair, used to tie files together; computed
+        once per ThetaForm, as its fields are frozen."""
+        text = "|".join(
+            format_rational(x) for x in (self.theta1, self.theta2, self.declared_error)
+        )
+        return fingerprint(text)
+
 
 def form_value(theta: ThetaForm, m1: int, m2: int) -> tuple[Fraction, int]:
     """(zeta, m0): the distance ||theta1*m1 + theta2*m2|| together with the
@@ -196,10 +206,7 @@ def fingerprint(text: str) -> str:
 
 def theta_fingerprint(theta: ThetaForm) -> str:
     """Stable identity for a coefficient pair, used to tie files together."""
-    text = "|".join(
-        format_rational(x) for x in (theta.theta1, theta.theta2, theta.declared_error)
-    )
-    return fingerprint(text)
+    return theta.fingerprint
 
 
 def form_range(m1: int, m2: int, b1, b2, w1, w2):

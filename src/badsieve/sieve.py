@@ -30,9 +30,11 @@ is an integer inequality in R, the level and |m|, wherever the rectangle is.
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from operator import attrgetter
 
 from .bestapprox import (
     TYPE1,
@@ -51,12 +53,15 @@ from .rationals import (
     ThetaForm,
     brief_rational,
     decimal_digits,
-    theta_fingerprint,
     validate_precision,
 )
 from .verify import linear_form_score
 
 POLICIES = ("lex", "random")
+
+# sort and bisect keys of the height-ordered records
+_height = attrgetter("height_sq")
+_kind = attrgetter("kind")
 
 
 @dataclass(frozen=True)
@@ -176,14 +181,16 @@ def _frame(B: Rectangle, cfg: SieveConfig) -> Frame:
     )
 
 
-def _strips(f00: int, step: int, rise: int, D: int, E: int, R: int) -> range:
-    """Integers c whose open strip (c-eps, c+eps) meets the closed form range
-    over B, all in frame units: the form is f00 at B's corner and moves by
-    step per child along i and by rise per child along j. The range is
-    [lo, hi] and c qualifies when lo - E < c*D < hi + E."""
-    lo = f00 + R * R * min(step, 0) + R * min(rise, 0)
-    hi = f00 + R * R * max(step, 0) + R * max(rise, 0)
-    return range((lo - E) // D + 1, -((-hi - E) // D))
+def _strip_ends(f00: int, step: int, rise: int, D: int, E: int, R: int) -> tuple[int, int]:
+    """(first, stop): the integers c whose open strip (c-eps, c+eps) meets
+    the closed form range over B are first <= c < stop, all in frame units.
+    The form is f00 at B's corner and moves by step per child along i and by
+    rise per child along j; over the R^2 x R children its range is [lo, hi],
+    and c qualifies when lo - E < c*D < hi + E."""
+    a, b = R * R * step, R * rise
+    lo = f00 + (a if a < 0 else 0) + (b if b < 0 else 0)
+    hi = f00 + (a if a > 0 else 0) + (b if b > 0 else 0)
+    return (lo - E) // D + 1, -((-hi - E) // D)
 
 
 def rect_clear(B: Rectangle, v, cfg: SieveConfig) -> bool:
@@ -197,7 +204,8 @@ def _clear(frame: Frame, v, R: int) -> bool:
     """rect_clear on a rectangle's _frame, so that one frame serves every
     vector of a level."""
     D, X1, X2, C1, C2, E = frame
-    return not _strips(v.m1 * X1 + v.m2 * X2, v.m1 * C1, v.m2 * C2, D, E, R)
+    first, stop = _strip_ends(v.m1 * X1 + v.m2 * X2, v.m1 * C1, v.m2 * C2, D, E, R)
+    return first >= stop
 
 
 def merge_ranges(ranges: list[tuple[int, int]]) -> list[tuple[int, int]]:
@@ -236,11 +244,11 @@ def dangerous_children(B: Rectangle, v, cfg: SieveConfig) -> KillRows:
     f00 = m1 * X1 + m2 * X2
     step = m1 * C1
     rise = m2 * C2
-    neg = min(step, 0) + min(rise, 0)
-    pos = max(step, 0) + max(rise, 0)
+    neg = (step if step < 0 else 0) + (rise if rise < 0 else 0)
+    pos = (step if step > 0 else 0) + (rise if rise > 0 else 0)
     den = abs(step)
     rows: KillRows = {}
-    for c in _strips(f00, step, rise, D, E, R):
+    for c in range(*_strip_ends(f00, step, rise, D, E, R)):
         # dangerous for this c  <=>  c - eps - pos < f_ij < c + eps - neg
         f_lo = c * D - E - pos
         f_hi = c * D + E - neg
@@ -402,8 +410,11 @@ def sieve_step(
         raise IncompleteSequence(
             f"level {n} needs records complete to M^2 = {brief_rational(hi)}"
         )
-    window = [v for v in seq.vectors if lo < v.height_sq <= hi]
-    window.sort(key=lambda v: v.kind)  # stable: Type1 first, each in index order
+    # the records with lo < M^2 <= hi: a slice, as seq.vectors is in height
+    # order; the stable sort puts Type1 first, each type in index order
+    vs = seq.vectors
+    window = vs[bisect_right(vs, lo, key=_height):bisect_right(vs, hi, key=_height)]
+    window = sorted(window, key=_kind)
     frame = _frame(rect, cfg)
     marks = []
     union: KillRows = {}
@@ -415,14 +426,7 @@ def sieve_step(
             kills = _count_covered(rows)
             for j, ranges in rows.items():
                 union.setdefault(j, []).extend(ranges)
-        marks.append(
-            VectorMark(
-                index=v.index,
-                kind=v.kind,
-                kills=kills,
-                gap_ok=gap_condition(rect, v, cfg),
-            )
-        )
+        marks.append(VectorMark(v.index, v.kind, kills, gap_condition(rect, v, cfg)))
     union = {j: merge_ranges(r) for j, r in union.items()}
     union_kills = _count_covered(union)
     stats = DangerStats(tuple(marks), union_kills, R**3 - union_kills)
@@ -451,7 +455,7 @@ class Certificate:
 
     @property
     def theta_fp(self) -> str:
-        return theta_fingerprint(self.theta)
+        return self.theta.fingerprint
 
     @property
     def epsilon(self) -> Fraction:
@@ -487,7 +491,7 @@ def run_sieve(
             f"sieve to depth {cfg.depth} needs completeness to M^2 = "
             f"{brief_rational(bound)}, sequence covers {brief_rational(seq.height_sq_max)}"
         )
-    in_range = tuple(v for v in seq.vectors if v.height_sq <= bound)
+    in_range = seq.vectors[:bisect_right(seq.vectors, bound, key=_height)]
     if not in_range:
         raise InvariantViolation("no vectors at all below the certified bound")
     # seq itself when it already is the truncation, so that runs over one

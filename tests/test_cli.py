@@ -1018,3 +1018,48 @@ def test_messages_show_huge_numbers_briefly(default_digit_limit, tmp_path, capsy
     message = HUGE_NUMBERS[case](tmp_path, capsys)
     assert len(message) < 1000, message[:200]
     assert "...(" in message and " digits)" in message, message
+
+
+def _journal_with_schema(small_run, path, schema):
+    text = (small_run / "journal.jsonl").read_text()
+    path.write_text(text.replace('"schema":1,', f'"schema":{schema},', 1))
+    return ["construct", "--resume", str(path), "--out", str(path.parent / "resumed")]
+
+
+def _certificate_with_score(small_run, path, cubed):
+    assert run_cli(
+        "verify", str(small_run / "certificate.json"), "--Q", "10", "--out", str(path)
+    ) == 0
+    obj = json.loads(path.read_text())
+    obj["bad_theta_score_at_Q"]["score_cubed"] = cubed
+    path.write_text(json.dumps(obj, indent=2))
+    return ["verify", str(path), "--Q", "10", "--out", str(path.parent / "v.json")]
+
+
+# Stored values that a parser refuses and names in its message: huge ones
+# are shown briefly, short ones as they always were.
+STORED_VALUES = {
+    "schema-huge": (_journal_with_schema, "1" + "0" * 20000, None),
+    "schema-2": (_journal_with_schema, "2", "unsupported journal schema 2"),
+    "schema-string": (_journal_with_schema, '"1"', "unsupported journal schema '1'"),
+    "score-huge": (_certificate_with_score, "1" + "0" * 19999, None),
+    "score-1/7": (
+        _certificate_with_score, "1/7", "field 'score_cubed' is 1/7, outside [0, 1/8]"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(STORED_VALUES))
+def test_parser_messages_show_stored_values_briefly(
+    default_digit_limit, small_run, tmp_path, capsys, case
+):
+    forge, value, message = STORED_VALUES[case]
+    argv = forge(small_run, tmp_path / "forged", value)
+    capsys.readouterr()
+    assert run_cli(*argv) == 5
+    out, err = capsys.readouterr()
+    if message is None:
+        assert len(err.encode()) < 1000, err[:200]
+        assert "...(" in err and " digits)" in err, err
+    else:
+        assert err == f"config error: {message}\n"

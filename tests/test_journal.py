@@ -12,6 +12,7 @@ from math import isqrt
 import pytest
 from hypothesis import Phase, given, reject, settings, strategies as st
 
+from badsieve import rationals
 from badsieve.bestapprox import TYPE1, TYPE2, enumerate_best_approx, sequence_fingerprint
 from badsieve.catalog import get_entry
 from badsieve.errors import BadSieveError, ConfigError, PrecisionExhausted
@@ -126,6 +127,24 @@ def _sequence(name: str, height_sq_max: int):
 def _run(name: str, **config):
     cfg = SieveConfig(**config)
     return run_sieve(THETAS[name], cfg, _sequence(name, cfg.height_sq_bound()))
+
+
+@pytest.mark.parametrize("name", ["sqrt2-sqrt3", "liouville"])
+def test_theta_hashed_once_per_run_and_writers(monkeypatch, name):
+    """run_sieve, journal_text and certificate_json share one hash of theta:
+    the ThetaForm's own cached fingerprint."""
+    t = THETAS[name]
+    theta = ThetaForm(t.theta1, t.theta2, t.declared_error)  # nothing cached yet
+    text = "|".join(_fmt(x) for x in (t.theta1, t.theta2, t.declared_error))
+    hashed = []
+    real = rationals.fingerprint
+    monkeypatch.setattr(rationals, "fingerprint", lambda s: hashed.append(s) or real(s))
+    seq = enumerate_best_approx(theta, 8**6)
+    cert, journal = run_sieve(theta, SieveConfig(R=8, depth=3, policy="random", seed=7), seq)
+    journal_text(journal)
+    certificate_json(cert)
+    assert hashed.count(text) == 1
+    assert cert.theta_fp == journal.theta_fp == real(text)
 
 
 # a stamped score: up to (1/2)^3, many digits, or small enough to underflow

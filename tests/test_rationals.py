@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from badsieve.catalog import catalog_names, get_entry
 from badsieve.errors import ConfigError, PrecisionExhausted
 from badsieve.rationals import (
     ThetaForm,
@@ -12,6 +13,7 @@ from badsieve.rationals import (
     ceil_isqrt,
     decimal_digits,
     dist_to_nearest_int,
+    fingerprint,
     form_value,
     format_rational,
     over_common_denominator,
@@ -170,6 +172,42 @@ def test_fingerprint_stability_and_sensitivity():
     c = ThetaForm(Q(2, 5), Q(1, 3), declared_error=Q(1, 10**6))
     assert theta_fingerprint(a) == theta_fingerprint(b)
     assert theta_fingerprint(a) != theta_fingerprint(c)
+
+
+# theta fingerprints of the catalog pairs, as every journal and certificate
+# written for them holds
+CATALOG_THETA_FINGERPRINTS = {
+    "sqrt2-sqrt3": "sha256:b0fa2074e88de61ca2ab4ea13507307f",
+    "golden-pair": "sha256:55fc6e4ba2d063912317d383dcf1efda",
+    "liouville": "sha256:3fb57271a65577cd861584c574bcd4e5",
+}
+
+
+def test_catalog_theta_fingerprints_pinned():
+    got = {name: theta_fingerprint(get_entry(name).theta) for name in catalog_names()}
+    assert got == CATALOG_THETA_FINGERPRINTS
+
+
+open_unit = st.fractions(min_value=0, max_value=1, max_denominator=10**30).filter(
+    lambda t: 0 < t < 1
+)
+
+
+@given(open_unit, open_unit, st.integers(0, 40))
+def test_theta_fingerprint_is_the_hash_of_its_canonical_text(t1, t2, digits):
+    theta = ThetaForm(t1, t2, Q(1, 10**digits) if digits else Q(0))
+    text = "|".join(format_rational(x) for x in (t1, t2, theta.declared_error))
+    assert theta.fingerprint == theta_fingerprint(theta) == fingerprint(text)
+
+
+def test_cached_theta_fingerprint_keeps_equality_and_hash():
+    filled = ThetaForm(Q(2, 5), Q(1, 3), Q(1, 10**6))
+    empty = ThetaForm(Q(2, 5), Q(1, 3), Q(1, 10**6))
+    fp = filled.fingerprint
+    assert "fingerprint" in vars(filled) and "fingerprint" not in vars(empty)
+    assert filled == empty and hash(filled) == hash(empty)
+    assert {filled: 1}[empty] == 1
+    assert empty.fingerprint == fp
 
 
 @settings(max_examples=200)

@@ -15,6 +15,7 @@ from badsieve.bestapprox import (
     BestApproxVector,
     enumerate_best_approx,
     export_sequence_lines,
+    sequence_fingerprint,
 )
 from badsieve.catalog import get_entry
 from badsieve.errors import ConfigError, IncompleteSequence, NoBaseFound, PrecisionExhausted
@@ -464,8 +465,32 @@ def rect_clear_reference(B, v, cfg):
     return not range(floor(lo - eps) + 1, ceil(hi + eps))
 
 
+def strip_case(R, level, b1, b2, m1, m2):
+    return SieveConfig(R=R, depth=level + 1), Rectangle(b1, b2, level), fake_vec(m1, m2)
+
+
 @settings(max_examples=300, deadline=None)
 @given(case=rects_and_vectors())
+# m1 = 0, m2 = 0 and every sign combination of (m1, m2): the strip test's
+# bounds take each sign branch
+@example(case=strip_case(4, 1, Fraction(3, 8), Fraction(5, 8), 0, 5))
+@example(case=strip_case(4, 1, Fraction(3, 8), Fraction(5, 8), 0, -5))
+@example(case=strip_case(4, 1, Fraction(3, 8), Fraction(5, 8), 7, 0))
+@example(case=strip_case(4, 1, Fraction(3, 8), Fraction(5, 8), -7, 0))
+@example(case=strip_case(4, 1, Fraction(3, 8), Fraction(5, 8), 3, 2))
+@example(case=strip_case(4, 1, Fraction(3, 8), Fraction(5, 8), 3, -2))
+@example(case=strip_case(4, 1, Fraction(3, 8), Fraction(5, 8), -3, 2))
+@example(case=strip_case(4, 1, Fraction(3, 8), Fraction(5, 8), -3, -2))
+# ranges that end exactly on an open strip's endpoint, clear: the top at
+# 1 - eps, and the bottom at eps, at each level shape
+@example(case=strip_case(4, 1, Fraction(311, 1024), Fraction(1, 8), 2, 3))
+@example(case=strip_case(4, 1, Fraction(189, 1024), Fraction(1, 8), -2, 3))
+@example(case=strip_case(4, 0, Fraction(1) - Fraction(1, 256) - Fraction(1, 64),
+                         Fraction(1, 2), 1, 0))
+@example(case=strip_case(4, 0, Fraction(1, 256), Fraction(1, 2), -1, 0))
+# one part in 10^9 past such an endpoint, not clear
+@example(case=strip_case(4, 1, Fraction(311, 1024) + Fraction(1, 10**9), Fraction(1, 8), 2, 3))
+@example(case=strip_case(4, 1, Fraction(189, 1024) + Fraction(1, 10**9), Fraction(1, 8), -2, 3))
 def test_gap_condition_and_rect_clear_match_fraction_reference(case):
     cfg, B, v = case
     room, width = gap_reference(B, v, cfg)
@@ -838,9 +863,25 @@ def test_clear_vectors_skip_the_row_walk(monkeypatch):
     assert skipped > met > 0
 
 
+def _filtered_windows(journal, seq, R):
+    """Each level's window by its definition: the records with
+    R^(2n) < M^2 <= R^(2(n+1)), Type1 first, each type in index order."""
+    windows = []
+    for rec in journal.levels:
+        lo, hi = R ** (2 * rec.level), R ** (2 * rec.level + 2)
+        band = [v for v in seq.vectors if lo < v.height_sq <= hi]
+        windows.append([(v.index, v.kind) for kind in (1, 2) for v in band if v.kind == kind])
+    return windows
+
+
+def _marked_windows(journal):
+    return [[(m.index, m.kind) for m in rec.stats.per_vector] for rec in journal.levels]
+
+
 def test_run_sieve_same_bytes_past_and_at_the_bound(monkeypatch):
     # a sequence enumerated exactly to the bound is its own truncation, so
-    # runs over it hash it once; one enumerated further is truncated per run
+    # runs over it hash it once; one enumerated further is truncated per run.
+    # Each level's window is a height slice of the longer one.
     exports = []
     monkeypatch.setattr(
         bestapprox, "export_sequence_lines",
@@ -852,12 +893,30 @@ def test_run_sieve_same_bytes_past_and_at_the_bound(monkeypatch):
         longer = enumerate_best_approx(theta, 8**7)
         assert len(longer.vectors) > len(exact.vectors)
         exports.clear()
-        for seed in range(5):
-            cfg = SieveConfig(R=8, depth=3, policy="random", seed=seed)
+        for policy, seed in [("lex", 0)] + [("random", seed) for seed in range(5)]:
+            cfg = SieveConfig(R=8, depth=3, policy=policy, seed=seed)
             runs = [run_sieve(theta, cfg, s) for s in (exact, longer)]
             assert len({journal_text(j) for _, j in runs}) == 1
             assert len({certificate_json(c) for c, _ in runs}) == 1
-        assert [s is exact for s in exports] == [True] + [False] * 5
+            assert _marked_windows(runs[1][1]) == _filtered_windows(runs[1][1], longer, 8)
+        assert [s is exact for s in exports] == [True] + [False] * 6
+
+
+def test_height_slices_end_exactly_at_a_record():
+    # at R = 4 sqrt2-sqrt3 has records at M^2 = 16 and 256, where levels 0
+    # and 1 end and levels 1 and 2 begin; at depth 2 the certified bound
+    # 4^4 is one of them
+    past = enumerate_best_approx(SQRT_PAIR, 4**7)
+    assert {16, 256} <= {v.height_sq for v in past.vectors}
+    for depth in (2, 3):
+        exact = enumerate_best_approx(SQRT_PAIR, 4 ** (2 * depth))
+        assert (exact.vectors[-1].height_sq == 256) is (depth == 2)
+        for policy in ("lex", "random"):
+            cfg = SieveConfig(R=4, depth=depth, policy=policy, seed=7)
+            runs = [run_sieve(SQRT_PAIR, cfg, s) for s in (exact, past)]
+            assert len({(journal_text(j), certificate_json(c)) for c, j in runs}) == 1
+            assert runs[1][0].sequence_fp == sequence_fingerprint(exact)
+            assert _marked_windows(runs[1][1]) == _filtered_windows(runs[1][1], past, 4)
 
 
 def test_run_sieve_nesting_and_margin():
