@@ -60,51 +60,8 @@ from .verify import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BadSieveError",
-    "BestApproxSequence",
-    "BestApproxVector",
-    "CatalogEntry",
-    "Certificate",
-    "ConfigError",
-    "DegenerateForm",
-    "IncompleteSequence",
-    "InvariantViolation",
-    "NoBaseFound",
-    "NoSurvivor",
-    "PrecisionExhausted",
-    "Rectangle",
-    "RunJournal",
-    "ScoreReport",
-    "SieveConfig",
-    "ThetaForm",
-    "audit_growth",
-    "audit_minkowski",
-    "bad_alpha_beta_score",
-    "bad_theta_score",
-    "brute_best_approx",
-    "catalog_names",
-    "certificate_json",
-    "dangerous_children",
-    "dist_to_nearest_int",
-    "enumerate_best_approx",
-    "export_sequence_lines",
-    "form_value",
-    "format_rational",
-    "gap_condition",
-    "get_entry",
-    "grid_dangerous_children",
-    "journal_text",
-    "linear_form_score",
-    "parse_certificate",
-    "parse_journal",
-    "parse_rational",
-    "rect_clear",
-    "run_sieve",
-    "select_base",
-    "sequence_fingerprint",
-    "sieve_step",
-    "theta_fingerprint",
-    "validate_precision",
-    "weighted_height_sq",
-]
+# every function and class imported above, and no module
+__all__ = sorted(
+    name for name, value in globals().items()
+    if getattr(value, "__module__", "").startswith(f"{__name__}.")
+)

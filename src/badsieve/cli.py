@@ -2,8 +2,10 @@
 
 Subcommands wire the library modules together and map every failure mode to
 a stable exit code (EXIT_CODES) so batch runs can be triaged mechanically.
-All emitted numbers are exact "p/q" strings or plain integers; outputs carry
-no timestamps, so identical configs produce identical bytes.
+All numbers in files are exact "p/q" strings or plain integers; outputs carry
+no timestamps, so identical configs produce identical bytes. On stdout, verify
+shows a number whose text is over 1,000 characters as error messages show it
+(brief_rational).
 
 Each subcommand's flags are declared once, by its builder in COMMANDS. A
 call builds only the parser of the subcommand it names (parse_args), since
@@ -42,10 +44,11 @@ from .journal import (
     journal_text,
     parse_certificate,
     parse_journal,
+    read_file,
 )
 from .modmin import validate_scan_bound
-from .rationals import ThetaForm, parse_rational, theta_fingerprint
-from .sieve import POLICIES, SieveConfig, dangerous_children, run_sieve
+from .rationals import ThetaForm, brief_rational, parse_rational, theta_fingerprint
+from .sieve import CONFIG_FIELDS, POLICIES, SieveConfig, dangerous_children, run_sieve
 from .verify import (
     bad_alpha_beta_score,
     bad_theta_score,
@@ -218,9 +221,10 @@ def _print_level_table(levels, cfg):
     print(head)
     for rec in levels:
         s = rec.stats
+        window1, window2, type1_total, type2_total = s.by_kind
         print(
-            f"{rec.level:>5}  {len(rec.window1):>4} {len(rec.window2):>4}"
-            f"  {s.type1_total:>8} {s.type2_total:>8}"
+            f"{rec.level:>5}  {len(window1):>4} {len(window2):>4}"
+            f"  {type1_total:>8} {type2_total:>8}"
             f"  {s.union_kills:>6} {s.survivors:>13}"
             f"  {s.union_kills / cfg.R**3:>9.3e}  {union_bound:>13}"
         )
@@ -230,12 +234,12 @@ def cmd_construct(args) -> int:
     # the config flags this call gives; SieveConfig's defaults fill the rest
     given = {
         flag: getattr(args, flag)
-        for flag in ("R", "depth", "policy", "seed")
+        for flag in CONFIG_FIELDS
         if getattr(args, flag) is not None
     }
     old = None
     if args.resume:
-        old = Path(args.resume).read_text()
+        old = read_file(args.resume)
         theta, cfg, *_ = parse_journal(old)
         if _resolve_theta(args, required=False) not in (None, theta):
             raise ConfigError("--resume journal was built for a different theta")
@@ -288,7 +292,7 @@ def _verified_path(cert_path: str, out) -> Path:
 
 def cmd_verify(args) -> int:
     validate_scan_bound(args.Q)
-    cert = parse_certificate(Path(args.certificate).read_text())
+    cert = parse_certificate(read_file(args.certificate))
     theta = cert.theta
     seq = enumerate_best_approx(theta, cert.height_sq_bound)
     if sequence_fingerprint(seq) != cert.sequence_fp:
@@ -301,26 +305,25 @@ def cmd_verify(args) -> int:
     form = linear_form_score(theta, cert.eta, seq)
     if args.trace:
         for h, cubed in form.running_min_trace:
-            print(f"  form record at height_sq={h}: cubed={cubed}")
+            print(f"  form record at height_sq={h}: cubed={brief_rational(cubed)}")
+    found, epsilon = brief_rational(form.exact_score), brief_rational(cert.epsilon)
     if form.exact_score != cert.verified_form_min:
         raise InvariantViolation(
-            f"linear form minimum {form.exact_score} does not match the "
-            f"certificate's {cert.verified_form_min}"
+            f"linear form minimum {found} does not match the "
+            f"certificate's {brief_rational(cert.verified_form_min)}"
         )
     if form.exact_score <= cert.epsilon:
-        raise InvariantViolation(
-            f"linear form minimum {form.exact_score} <= epsilon {cert.epsilon}"
-        )
-    print(f"linear_form_min {form.exact_score} > epsilon {cert.epsilon} (matches)")
+        raise InvariantViolation(f"linear form minimum {found} <= epsilon {epsilon}")
+    print(f"linear_form_min {found} > epsilon {epsilon} (matches)")
 
     rep = bad_theta_score(theta, cert.eta, args.Q)
     if args.trace:
         for q, cubed in rep.running_min_trace:
-            print(f"  theta record at q={q}: cubed={cubed}")
+            print(f"  theta record at q={q}: cubed={brief_rational(cubed)}")
         _print_scan_work("theta", rep)
     print(
         f"bad_theta_score Q={args.Q}: {rep.score:.6e} "
-        f"(cubed {rep.score_cubed}, argmin q={rep.argmin})"
+        f"(cubed {brief_rational(rep.score_cubed)}, argmin q={rep.argmin})"
     )
     if rep.score_cubed == 0:
         raise InvariantViolation("eta lies on the orbit: score hit exact 0")
@@ -328,7 +331,10 @@ def cmd_verify(args) -> int:
     hom = bad_alpha_beta_score(theta, args.Q)
     if args.trace:
         _print_scan_work("alpha_beta", hom)
-    print(f"bad_alpha_beta_score Q={args.Q}: {hom.score:.6e} (cubed {hom.score_cubed})")
+    print(
+        f"bad_alpha_beta_score Q={args.Q}: {hom.score:.6e} "
+        f"(cubed {brief_rational(hom.score_cubed)})"
+    )
 
     stamped = dataclasses.replace(
         cert, bad_theta_score_at_Q=(args.Q, rep.score_cubed)

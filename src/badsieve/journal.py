@@ -15,6 +15,10 @@ relative 10^-12), so that text is the only statement of the format. What
 needs the records (the marks, the pick's clearance, the sequence
 fingerprint) is left to crosscheck and to resume, which requires
 the old journal's lines to begin the one it writes (check_resume_prefix).
+
+A user's file is read by read_file, which raises ConfigError for bytes that
+are not UTF-8, and decoded by one loader, _loads, which raises it for any text
+json.loads cannot decode: not JSON, an int past the digit limit, nesting too deep.
 """
 
 from __future__ import annotations
@@ -24,17 +28,19 @@ from contextlib import contextmanager
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _json_str
 from math import isclose
+from pathlib import Path
 
 from .bestapprox import TYPE1, TYPE2
 from .errors import ConfigError
 from .rationals import (
     ThetaForm,
-    brief_rational,
+    brief_repr,
     format_rational,
     parse_rational,
     theta_fingerprint,
 )
 from .sieve import (
+    CONFIG_FIELDS,
     Certificate,
     DangerStats,
     LevelRecord,
@@ -47,9 +53,6 @@ from .sieve import (
 
 SCHEMA = 1
 
-# The config and theta fields the parsers read, with the JSON type each
-# config field has.
-_CONFIG_FIELDS = {"R": int, "depth": int, "policy": str, "seed": int}
 _THETA_FIELDS = ("theta1", "theta2", "declared_error")
 
 
@@ -76,26 +79,21 @@ def _bounds(cfg: SieveConfig) -> str:
 
 
 def _level_line(rec: LevelRecord, bounds: str) -> str:
-    window1, window2, marks = [], [], []
-    type1_total = type2_total = 0
-    for m in rec.stats.per_vector:
-        marks.append(
-            f'{{"index":{m.index},"kind":{m.kind},"kills":{m.kills},'
-            f'"gap_ok":{"true" if m.gap_ok else "false"}}}'
-        )
-        if m.kind == TYPE1:
-            window1.append(str(m.index))
-            type1_total += m.kills
-        elif m.kind == TYPE2:
-            window2.append(str(m.index))
-            type2_total += m.kills
+    s = rec.stats
+    window1, window2, type1_total, type2_total = s.by_kind
+    marks = ",".join([
+        f'{{"index":{m.index},"kind":{m.kind},"kills":{m.kills},'
+        f'"gap_ok":{"true" if m.gap_ok else "false"}}}'
+        for m in s.per_vector
+    ])
     i, j = rec.chosen
     return (
         f'{{"type":"level","level":{rec.level},"rect":{_rect_pair(rec.rect)},'
-        f'"window1":[{",".join(window1)}],"window2":[{",".join(window2)}],'
-        f'"marks":[{",".join(marks)}],"type1_total":{type1_total},'
-        f'"type2_total":{type2_total},"union_kills":{rec.stats.union_kills},'
-        f'"survivors":{rec.stats.survivors},"bounds":{bounds},"chosen":[{i},{j}]}}\n'
+        f'"window1":[{",".join(map(str, window1))}],'
+        f'"window2":[{",".join(map(str, window2))}],'
+        f'"marks":[{marks}],"type1_total":{type1_total},'
+        f'"type2_total":{type2_total},"union_kills":{s.union_kills},'
+        f'"survivors":{s.survivors},"bounds":{bounds},"chosen":[{i},{j}]}}\n'
     )
 
 
@@ -145,18 +143,11 @@ def _theta(obj: dict) -> ThetaForm:
 
 
 def _config(obj: dict) -> SieveConfig:
-    return SieveConfig(
-        **{key: _get(obj, key, kind) for key, kind in _CONFIG_FIELDS.items()}
-    )
-
-
-def _shown(value) -> str:
-    """value for an error message: an int or a Fraction through
-    brief_rational, any other value as its repr, cut to 1,000 characters."""
-    if isinstance(value, (int, Fraction)):
-        return brief_rational(value)
-    text = repr(value)
-    return text if len(text) <= 1000 else f"{text[:40]}...({len(text)} characters)"
+    """The SieveConfig of obj's config fields; SieveConfig checks their values."""
+    for key in CONFIG_FIELDS:
+        if key not in obj:
+            raise ConfigError(f"field {key!r} is missing")
+    return SieveConfig(**{key: obj[key] for key in CONFIG_FIELDS})
 
 
 def _check_derived(stored: dict, derived: dict) -> None:
@@ -165,13 +156,13 @@ def _check_derived(stored: dict, derived: dict) -> None:
     ConfigError naming the key."""
     for key in stored:
         if key not in derived:
-            raise ConfigError(f"field {_shown(key)} is not one the writer emits")
+            raise ConfigError(f"field {brief_repr(key)} is not one the writer emits")
     for key, want in derived.items():
         got = stored.get(key)
         if isinstance(want, dict) and isinstance(got, dict):
             _check_derived(got, want)
         elif json.dumps(got, sort_keys=True) != json.dumps(want, sort_keys=True):
-            got, want = _shown(got), _shown(want)
+            got, want = brief_repr(got), brief_repr(want)
             raise ConfigError(f"field {key!r} is {got}, but recomputed it is {want}")
 
 
@@ -204,6 +195,22 @@ def _parse_level(rec: dict, rect: Rectangle, cfg: SieveConfig, bounds: str) -> L
     return parsed
 
 
+def read_file(path) -> str:
+    """The text of the journal or certificate file at path, else ConfigError."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"{path} is not UTF-8 text: {e}") from None
+
+
+def _loads(text: str, what: str):
+    """json.loads(text) of a journal line or certificate, else ConfigError."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as e:
+        raise ConfigError(f"{what} is not valid JSON: {e}") from None
+
+
 @contextmanager
 def _at_line(ln: int):
     """Prefix the journal line number to a ConfigError raised inside."""
@@ -225,17 +232,14 @@ def parse_journal(text: str):
     for ln, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
-        try:
-            records.append((ln, json.loads(line)))
-        except ValueError as e:  # JSONDecodeError, or an int past the digit limit
-            raise ConfigError(f"journal line {ln} is not valid JSON: {e}") from None
+        records.append((ln, _loads(line, f"journal line {ln}")))
         if not isinstance(records[-1][1], dict):
             raise ConfigError(f"journal line {ln} is not a JSON object")
     if not records or records[0][1].get("type") != "header":
         raise ConfigError("journal does not start with a header record")
     ln, h = records[0]
     if h.get("schema") != SCHEMA:
-        raise ConfigError(f"unsupported journal schema {_shown(h.get('schema'))}")
+        raise ConfigError(f"unsupported journal schema {brief_repr(h.get('schema'))}")
     with _at_line(ln):
         theta = _theta(h)
         cfg = _config(h)
@@ -323,10 +327,7 @@ def certificate_json(cert: Certificate) -> str:
 
 
 def parse_certificate(text: str) -> Certificate:
-    try:
-        obj = json.loads(text)
-    except ValueError as e:  # JSONDecodeError, or an int past the digit limit
-        raise ConfigError(f"certificate is not valid JSON: {e}") from None
+    obj = _loads(text, "certificate")
     if (
         not isinstance(obj, dict)
         or obj.get("kind") != "certificate"
@@ -342,7 +343,7 @@ def parse_certificate(text: str) -> Certificate:
         # display score would be complex or overflow a float
         if not 0 <= score[1] <= Fraction(1, 8):
             raise ConfigError(
-                f"field 'score_cubed' is {_shown(score[1])}, outside [0, 1/8]"
+                f"field 'score_cubed' is {brief_repr(score[1])}, outside [0, 1/8]"
             )
     cert = Certificate(
         theta=_theta(t),

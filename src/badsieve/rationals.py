@@ -87,6 +87,15 @@ def brief_rational(x: Fraction | int) -> str:
     )
 
 
+def brief_repr(value) -> str:
+    """value for an error message: an int or a Fraction through
+    brief_rational, any other value as its repr, cut to 1,000 characters."""
+    if isinstance(value, (int, Fraction)):
+        return brief_rational(value)
+    text = repr(value)
+    return text if len(text) <= 1000 else f"{text[:40]}...({len(text)} characters)"
+
+
 def over_common_denominator(*xs: Fraction) -> tuple[int, list[int]]:
     """(D, [x*D for x in xs]): the least common denominator D of the
     rationals xs, and each of them scaled by it, an integer."""

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from math import lcm
 from operator import attrgetter
@@ -52,6 +52,7 @@ from .errors import (
 from .rationals import (
     ThetaForm,
     brief_rational,
+    brief_repr,
     decimal_digits,
     validate_precision,
 )
@@ -75,9 +76,9 @@ class SieveConfig:
         for name in ("R", "depth", "seed"):
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool):
-                raise ConfigError(f"{name} must be an integer, not {value!r}")
+                raise ConfigError(f"{name} must be an integer, not {brief_repr(value)}")
         if not isinstance(self.policy, str):
-            raise ConfigError(f"policy must be a string, not {self.policy!r}")
+            raise ConfigError(f"policy must be a string, not {brief_repr(self.policy)}")
         if self.R < 2:
             raise ConfigError("R must be at least 2")
         if self.depth < 0:
@@ -123,6 +124,10 @@ class SieveConfig:
             "type2_total": 400 * R2 * lg,
             "union": 1000 * R2 * lg,
         }
+
+
+# the config fields, as journals and certificates store them and construct's flags name them
+CONFIG_FIELDS = tuple(f.name for f in fields(SieveConfig))
 
 
 @dataclass(frozen=True)
@@ -337,12 +342,27 @@ class DangerStats:
     survivors: int
 
     @property
+    def by_kind(self) -> tuple[tuple[int, ...], tuple[int, ...], int, int]:
+        """(window1, window2, type1_total, type2_total): the indices of the
+        Type1 and the Type2 marks, in mark order, and each kind's kills."""
+        window1, window2 = [], []
+        type1_total = type2_total = 0
+        for m in self.per_vector:
+            if m.kind == TYPE1:
+                window1.append(m.index)
+                type1_total += m.kills
+            elif m.kind == TYPE2:
+                window2.append(m.index)
+                type2_total += m.kills
+        return tuple(window1), tuple(window2), type1_total, type2_total
+
+    @property
     def type1_total(self) -> int:
-        return sum(m.kills for m in self.per_vector if m.kind == TYPE1)
+        return self.by_kind[2]
 
     @property
     def type2_total(self) -> int:
-        return sum(m.kills for m in self.per_vector if m.kind == TYPE2)
+        return self.by_kind[3]
 
 
 @dataclass(frozen=True)
@@ -360,11 +380,11 @@ class LevelRecord:
     @property
     def window1(self) -> tuple[int, ...]:
         """Indices of the window's Type1 vectors, in mark order."""
-        return tuple(m.index for m in self.stats.per_vector if m.kind == TYPE1)
+        return self.stats.by_kind[0]
 
     @property
     def window2(self) -> tuple[int, ...]:
-        return tuple(m.index for m in self.stats.per_vector if m.kind == TYPE2)
+        return self.stats.by_kind[1]
 
 
 def kth_survivor(rows: KillRows, R: int, k: int) -> tuple[int, int]:

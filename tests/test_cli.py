@@ -1063,3 +1063,90 @@ def test_parser_messages_show_stored_values_briefly(
         assert "...(" in err and " digits)" in err, err
     else:
         assert err == f"config error: {message}\n"
+
+
+def _nested_journal(small_run):
+    header = (small_run / "journal.jsonl").read_text().splitlines()[0]
+    return f"{header}\n{'[' * 100000}\n".encode()
+
+
+# Files the decoder refuses: bytes that are not UTF-8 (a UTF-16 byte order
+# mark) and 100,000 nested arrays, as a certificate and as a journal line
+UNDECODABLE = {
+    "verify-not-utf8": ("verify", lambda run: b"\xff\xfe\x00", "is not UTF-8 text"),
+    "resume-not-utf8": ("construct", lambda run: b"\xff\xfe\x00", "is not UTF-8 text"),
+    "verify-nested": (
+        "verify", lambda run: b"[" * 100000, "certificate is not valid JSON"
+    ),
+    "resume-nested": ("construct", _nested_journal, "journal line 2 is not valid JSON"),
+}
+
+
+@pytest.mark.parametrize("case", list(UNDECODABLE))
+def test_undecodable_file_exits_5(small_run, tmp_path, capsys, case):
+    command, make, message = UNDECODABLE[case]
+    path = tmp_path / "input"
+    path.write_bytes(make(small_run))
+    if command == "construct":
+        argv = ["construct", "--resume", str(path), "--out", str(tmp_path / "o")]
+    else:
+        argv = ["verify", str(path), "--Q", "10"]
+    assert run_cli(*argv) == 5
+    out, err = capsys.readouterr()
+    assert err.startswith("config error: ") and err.count("\n") == 1, err[:200]
+    assert message in err and len(err.encode()) < 1000, err[:200]
+    assert not (tmp_path / "o").exists()
+
+
+def _forge_R(config, value):
+    if value is None:
+        del config["R"]
+    else:
+        config["R"] = value
+
+
+@pytest.mark.parametrize("case", ["string", "bool", "float", "missing"])
+@pytest.mark.parametrize("command", ["construct", "verify"])
+def test_config_field_of_the_wrong_type_exits_5(small_run, tmp_path, capsys, command, case):
+    value = {"string": "8", "bool": True, "float": 8.0}.get(case)
+    path = tmp_path / "input"
+    if command == "construct":
+        lines = (small_run / "journal.jsonl").read_text().splitlines()
+        header = json.loads(lines[0])
+        _forge_R(header, value)
+        lines[0] = json.dumps(header, separators=(",", ":"))
+        path.write_text("\n".join(lines) + "\n")
+        argv = ["construct", "--resume", str(path), "--out", str(tmp_path / "o")]
+    else:
+        obj = json.loads((small_run / "certificate.json").read_text())
+        _forge_R(obj["config"], value)
+        path.write_text(json.dumps(obj, indent=2))
+        argv = ["verify", str(path), "--Q", "10"]
+    assert run_cli(*argv) == 5
+    err = capsys.readouterr().err
+    named = "field 'R' is missing" if value is None else f"R must be an integer, not {value!r}"
+    where = "journal line 1: " if command == "construct" else ""
+    assert err == f"config error: {where}{named}\n"
+
+
+@pytest.fixture(scope="module")
+def liouville_depth_2(tmp_path_factory):
+    out = tmp_path_factory.mktemp("liouville")
+    assert main([
+        "construct", "--catalog", "liouville", "--R", "16", "--depth", "2", "--out", str(out)
+    ]) == 0
+    return out / "certificate.json"
+
+
+@pytest.mark.parametrize("trace", [False, True])
+def test_verify_shows_long_exact_numbers_briefly(liouville_depth_2, tmp_path, capsys, trace):
+    # the cubed scores at Q = 10^6 have over 1,000 digits; the verified copy
+    # stores them exactly, stdout shows them as error messages do
+    capsys.readouterr()
+    argv = ["verify", str(liouville_depth_2), "--Q", "1000000", "--out", str(tmp_path / "v")]
+    assert run_cli(*argv, *(["--trace"] if trace else [])) == 0
+    out = capsys.readouterr().out
+    assert max(map(len, out.splitlines())) <= 1100
+    assert "...(" in out and " digits)" in out
+    stamped = parse_certificate((tmp_path / "v").read_text()).bad_theta_score_at_Q
+    assert len(format_rational(stamped[1])) > 1000

@@ -352,6 +352,48 @@ def test_parsers_refuse_an_integer_past_the_digit_limit(default_digit_limit):
         parse_journal(text)
 
 
+def test_parsers_refuse_nesting_past_the_recursion_limit():
+    # json.loads raises a bare RecursionError on 100,000 nested arrays; both
+    # parsers turn it into ConfigError, with a short message
+    _, journal = _run("golden-pair", R=8, depth=2)
+    nested = "[" * 100000
+    with pytest.raises(ConfigError, match="^certificate is not valid JSON: ") as exc:
+        parse_certificate(nested)
+    assert len(str(exc.value)) < 1000
+    header = journal_text(journal).splitlines()[0]
+    with pytest.raises(ConfigError, match="^journal line 2 is not valid JSON: ") as exc:
+        parse_journal(f"{header}\n{nested}\n")
+    assert len(str(exc.value)) < 1000
+
+
+# R as a string, a bool, a float and absent: SieveConfig's own type rule, or
+# the parsers' presence check, refuses each and names R
+BAD_R = {"string": "16", "bool": True, "float": 16.0, "missing": None}
+
+
+@pytest.mark.parametrize("case", list(BAD_R))
+def test_parsers_refuse_a_config_field_of_the_wrong_type(case):
+    cert, journal = _run("golden-pair", R=16, depth=1)
+
+    def forge(config):
+        if case == "missing":
+            del config["R"]
+        else:
+            config["R"] = BAD_R[case]
+
+    named = "field 'R' is missing" if case == "missing" else "R must be an integer, not "
+    obj = json.loads(certificate_json(cert))
+    forge(obj["config"])
+    with pytest.raises(ConfigError, match=f"^{named}"):
+        parse_certificate(json.dumps(obj, indent=2))
+    lines = journal_text(journal).splitlines()
+    header = json.loads(lines[0])
+    forge(header)
+    lines[0] = json.dumps(header, separators=(",", ":"))
+    with pytest.raises(ConfigError, match=f"^journal line 1: {named}"):
+        parse_journal("\n".join(lines))
+
+
 @pytest.mark.parametrize("depth", [3000, 200000])
 def test_parse_certificate_refuses_a_forged_depth_fast(default_digit_limit, depth):
     # the stored bound 8^4 has 13 bits, far below any R^(2*depth) for R = 8;

@@ -11,6 +11,8 @@ from conftest import expand_rows
 
 from badsieve import bestapprox, sieve
 from badsieve.bestapprox import (
+    TYPE1,
+    TYPE2,
     BestApproxSequence,
     BestApproxVector,
     enumerate_best_approx,
@@ -747,6 +749,26 @@ def test_danger_stats_arithmetic():
         "type2_total": 400 * 16 * 2,
         "union": 1000 * 16 * 2,
     }
+
+
+def test_kind_split_matches_the_marks_on_a_run_with_kills():
+    # by_kind, the one pass over the marks that the windows, the totals and
+    # the journal's level lines read, against a filter of the marks by kind
+    cfg = SieveConfig(R=8, depth=3)
+    seq = enumerate_best_approx(SQRT_PAIR, cfg.height_sq_bound())
+    _, journal = run_sieve(SQRT_PAIR, cfg, seq)
+    assert any(rec.stats.union_kills for rec in journal.levels)
+    for rec in journal.levels:
+        marks = rec.stats.per_vector
+        by = {kind: [m for m in marks if m.kind == kind] for kind in (TYPE1, TYPE2)}
+        assert rec.stats.by_kind == (
+            tuple(m.index for m in by[TYPE1]),
+            tuple(m.index for m in by[TYPE2]),
+            sum(m.kills for m in by[TYPE1]),
+            sum(m.kills for m in by[TYPE2]),
+        )
+        assert (rec.window1, rec.window2) == rec.stats.by_kind[:2]
+        assert (rec.stats.type1_total, rec.stats.type2_total) == rec.stats.by_kind[2:]
 
 
 def test_union_subadditive_on_real_run():
