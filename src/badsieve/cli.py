@@ -3,9 +3,9 @@
 Subcommands wire the library modules together and map every failure mode to
 a stable exit code (EXIT_CODES) so batch runs can be triaged mechanically.
 All numbers in files are exact "p/q" strings or plain integers; outputs carry
-no timestamps, so identical configs produce identical bytes. On stdout, verify
-shows a number whose text is over 1,000 characters as error messages show it
-(brief_rational).
+no timestamps, so identical configs produce identical bytes. On stdout,
+construct and verify show a number whose text is over 1,000 characters as
+error messages show it (brief_rational).
 
 Each subcommand's flags are declared once, by its builder in COMMANDS. A
 call builds only the parser of the subcommand it names (parse_args), since
@@ -46,7 +46,6 @@ from .journal import (
     parse_journal,
     read_file,
 )
-from .modmin import validate_scan_bound
 from .rationals import ThetaForm, brief_rational, parse_rational, theta_fingerprint
 from .sieve import CONFIG_FIELDS, POLICIES, SieveConfig, dangerous_children, run_sieve
 from .verify import (
@@ -56,6 +55,7 @@ from .verify import (
     grid_dangerous_children,
     linear_form_score,
     linear_weighted_min_scan,
+    validate_scan_bound,
 )
 
 EXIT_CODES = {
@@ -225,8 +225,8 @@ def _print_level_table(levels, cfg):
         print(
             f"{rec.level:>5}  {len(window1):>4} {len(window2):>4}"
             f"  {type1_total:>8} {type2_total:>8}"
-            f"  {s.union_kills:>6} {s.survivors:>13}"
-            f"  {s.union_kills / cfg.R**3:>9.3e}  {union_bound:>13}"
+            f"  {s.union_kills:>6} {brief_rational(s.survivors):>13}"
+            f"  {s.union_kills / cfg.R**3:>9.3e}  {brief_rational(union_bound):>13}"
         )
 
 
@@ -271,8 +271,9 @@ def cmd_construct(args) -> int:
     if old is not None:
         check_resume_prefix(old, text)
     _print_level_table(journal.levels, cfg)
-    print(f"eta ({cert.eta[0]}, {cert.eta[1]})")
-    print(f"verified_form_min {cert.verified_form_min} > epsilon {cert.epsilon}")
+    print(f"eta ({brief_rational(cert.eta[0])}, {brief_rational(cert.eta[1])})")
+    found, epsilon = brief_rational(cert.verified_form_min), brief_rational(cert.epsilon)
+    print(f"verified_form_min {found} > epsilon {epsilon}")
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -50,6 +50,7 @@ from .sieve import (
     VectorMark,
     child_rect,
 )
+from .verify import display_score
 
 SCHEMA = 1
 
@@ -300,7 +301,7 @@ def _certificate_text(cert: Certificate) -> str:
         Q, cubed = cert.bad_theta_score_at_Q
         score = (
             f'{{\n    "Q": {Q},\n    "score_cubed": "{format_rational(cubed)}",\n'
-            f'    "score": {float.__repr__(float(cubed) ** (1.0 / 3.0))}\n  }}'
+            f'    "score": {float.__repr__(display_score(cubed))}\n  }}'
         )
     return (
         f'{{\n  "schema": {SCHEMA},\n  "kind": "certificate",\n  "theta": {{\n'

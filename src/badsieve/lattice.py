@@ -4,7 +4,7 @@ box_points answers the one lattice question of the package: which points
 of the lattice L spanned by the integer rows of a basis B lie in the closed
 box lo_j <= x_j <= hi_j? Record enumeration (bestapprox._box) asks it on
 the lattice of (m1, m2, A1*m1 + A2*m2 + D*m0), verify's q-scan
-(modmin.weighted_min_scan) once per block of q on that of
+(verify._weighted_score) once per block of q on that of
 (x, a1*x + D*k1, a2*x + D*k2).
 
 The answer is exact for any basis. A point x = u*B has u = x*adj(B)/det(B),

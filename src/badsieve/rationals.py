@@ -1,5 +1,6 @@
 """Exact rational numerics: parsing, distance to the nearest integer, the
-weighted height, form values, and the truncation-precision guard.
+weighted height, integer square and cube roots, form values, and the
+truncation-precision guard.
 
 Everything here is exact. No floats enter or leave any public function,
 and Fraction is the single rational type that public functions take and
@@ -76,6 +77,8 @@ def brief_rational(x: Fraction | int) -> str:
     characters, for error messages. Above that, numerator and denominator each
     show their leading 20 digits and their digit count, as in
     '70710678118654752440...(4400 digits)/10000000000000000000...(4401 digits)'."""
+    if x.numerator.bit_length() + x.denominator.bit_length() < 3300:
+        return str(x)  # at most 4 + 3300*log10(2) < 1,000 characters
     sign = "-" if x < 0 else ""
     parts = [abs(x.numerator)] + ([x.denominator] if x.denominator != 1 else [])
     counts = [decimal_digits(n) for n in parts]
@@ -119,6 +122,32 @@ def ceil_isqrt(n: int) -> int:
     """Smallest integer s with s*s >= n."""
     s = isqrt(n)
     return s if s * s == n else s + 1
+
+
+def icbrt(n: int) -> int:
+    """floor(n ** (1/3)) for an integer n >= 0, by integer Newton steps.
+
+    No float is involved, so any size works (a float seed overflows past
+    2**1024). The start lies above the root: from 512 bits on it is
+    (icbrt(n >> 3k) + 1) << k, k = bits // 6, which holds the root's leading
+    half, so a few steps finish; below, 2**ceil(bits/3) is as fast. Each
+    step from above stays at or above the floor of the root while strictly
+    decreasing, so the first step that does not decrease ends the walk."""
+    if n < 0:
+        raise ValueError("cube root of a negative number")
+    if n == 0:
+        return 0
+    bits = n.bit_length()
+    if bits < 512:
+        x = 1 << -(-bits // 3)
+    else:
+        k = bits // 6
+        x = (icbrt(n >> 3 * k) + 1) << k
+    while True:
+        y = (2 * x + n // (x * x)) // 3
+        if y >= x:
+            return x
+        x = y
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,8 @@
 """Independent checks, and the exact weighted scores verify reports.
 
-bad_theta_score and bad_alpha_beta_score call modmin.weighted_min_scan,
-which lists the q that can set a new running minimum with one lattice box
-query per block of q and scores only those, instead of scoring every q.
+bad_theta_score and bad_alpha_beta_score call _weighted_score, which lists
+the q that can set a new running minimum with one lattice box query per
+block of q and scores only those, instead of scoring every q.
 Everything else here is deliberately naive: exhaustive scans in exact integer
 arithmetic, sharing with the clever implementations they audit only the
 scaling to a common denominator and, for the q-scans, _scan_report.
@@ -21,14 +21,28 @@ from math import ceil, floor, isqrt
 
 from .bestapprox import BestApproxSequence, BestApproxVector, vector_kind
 from .errors import ConfigError, DegenerateForm
-from .modmin import validate_scan_bound, weighted_min_scan
+from .lattice import box_points
 from .rationals import (
     ThetaForm,
     brief_rational,
     form_range,
     form_value,
+    icbrt,
     over_common_denominator,
 )
+
+
+def validate_scan_bound(Q: int) -> None:
+    """The one rule on a q-scan's bound: Q >= 1. cli.cmd_verify
+    checks it before any work, and each scan before its own."""
+    if Q < 1:
+        raise ConfigError("scan bound must be >= 1")
+
+
+def display_score(cubed: Fraction) -> float:
+    """A weighted score's float view, libm's cube root of its exact cube, as
+    verify's stdout and the verified certificate's "score" both show it."""
+    return float(cubed) ** (1.0 / 3.0)
 
 
 @dataclass(frozen=True)
@@ -54,7 +68,7 @@ class ScoreReport:
     def score(self) -> float:
         if self.exact_score is not None:
             return float(self.exact_score)
-        return float(self.score_cubed) ** (1.0 / 3.0)
+        return display_score(self.score_cubed)
 
 
 def _scan_report(Q: int, D: int, best: int, argmin: int, trace, work=None) -> ScoreReport:
@@ -105,12 +119,74 @@ def linear_weighted_min_scan(
 def _weighted_score(
     t1: Fraction, t2: Fraction, e1: Fraction, e2: Fraction, Q: int
 ) -> ScoreReport:
-    """linear_weighted_min_scan's report, from modmin.weighted_min_scan on
-    the numerators over the common denominator D, with the scan's work
-    counters."""
+    """linear_weighted_min_scan's report, with the scan's work counters,
+    from scoring only the q that can set a record.
+
+    Over the common denominator D the cubed score at q is
+    max(q^2 d1^3, q d2^3) / D^3, d1 and d2 the distances of
+    (a1*q + c1) % D and (a2*q + c2) % D from 0 mod D. q = 1 is scored
+    directly; then the blocks lo <= q <= hi run from lo = 2 up to Q. With
+    best the running minimum when a block starts, a q in it sets a strict
+    new record only if q^2 d1^3 < best and q d2^3 < best, so
+    d1 <= s1 = icbrt((best - 1) // lo^2) and d2 <= s2 = icbrt((best - 1) // lo).
+    Those q are lo + x for the points (x, y1, y2) of the lattice L spanned
+    by (1, a1, a2), (0, D, 0), (0, 0, D) in the box 0 <= x <= hi - lo,
+    |yi + ri| <= si, ri = (ai*lo + ci) % D centred into (-D/2, D/2].
+    lattice.box_points lists them, its basis warm-started from the previous
+    block's (L never changes), and they are scored exactly in increasing q.
+    best only falls inside a block, so the box holds every q that could set
+    a record. q = 1 scores at most (D // 2)^3, so s1 and s2 stay below D / 2
+    and each q is one point of the box.
+
+    q + D has the distances of q and a larger score, so the scan stops at
+    min(Q, D). A block is about 4*D^2 / ((2*s1 + 1)*(2*s2 + 1)) wide, so
+    each box holds about 4 lattice points: wider blocks list more points per
+    block, narrower ones pay more reductions."""
+    validate_scan_bound(Q)
     D, (a1, a2, n1, n2) = over_common_denominator(t1, t2, e1, e2)
-    work = {}
-    best, best_q, trace = weighted_min_scan(a1, -n1, a2, -n2, D, Q, work)
+    c1, c2 = -n1, -n2
+    last = min(Q, D)
+    a1 %= D
+    a2 %= D
+
+    def score(q: int) -> int:
+        r1 = (a1 * q + c1) % D
+        r2 = (a2 * q + c2) % D
+        d1 = min(r1, D - r1)
+        d2 = min(r2, D - r2)
+        return max(q * q * d1**3, q * d2**3)
+
+    def centred(r: int) -> int:
+        r %= D
+        return r - D if 2 * r > D else r
+
+    best = score(1)
+    best_q = 1
+    trace = [(1, best)]
+    basis = [[1, a1, a2], [0, D, 0], [0, 0, D]]
+    blocks = listed = 0
+    scored = 1
+    lo = 2
+    while best and lo <= last:
+        s1 = icbrt((best - 1) // (lo * lo))
+        s2 = icbrt((best - 1) // lo)
+        hi = min(last, lo - 1 + max(1, 4 * D * D // ((2 * s1 + 1) * (2 * s2 + 1))))
+        r1, r2 = centred(a1 * lo + c1), centred(a2 * lo + c2)
+        box = (0, hi - lo), (-s1 - r1, s1 - r1), (-s2 - r2, s2 - r2)
+        points, n = box_points(basis, box)
+        blocks += 1
+        listed += n
+        for q in sorted(lo + x for x, _, _ in points):
+            scored += 1
+            cubed = score(q)
+            if cubed < best:
+                best = cubed
+                best_q = q
+                trace.append((q, cubed))
+                if cubed == 0:
+                    break
+        lo = hi + 1
+    work = {"blocks": blocks, "listed": listed, "scored": scored}
     return _scan_report(Q, D, best, best_q, trace, work)
 
 

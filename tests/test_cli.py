@@ -1150,3 +1150,24 @@ def test_verify_shows_long_exact_numbers_briefly(liouville_depth_2, tmp_path, ca
     assert "...(" in out and " digits)" in out
     stamped = parse_certificate((tmp_path / "v").read_text()).bad_theta_score_at_Q
     assert len(format_rational(stamped[1])) > 1000
+
+
+def test_construct_shows_long_exact_numbers_briefly(tmp_path, capsys):
+    # a 780-digit truncation at R = 10^150, depth 1: eta and the form minimum
+    # have over 1,000 digits; the certificate stores them exactly
+    S = 10**780
+    theta = ThetaForm(
+        Fraction(isqrt(2 * S * S) - S, S), Fraction(isqrt(3 * S * S) - S, S), Fraction(1, S)
+    )
+    argv = [
+        "construct", "--theta", f"{format_rational(theta.theta1)},{format_rational(theta.theta2)}",
+        "--theta-error", f"1/{S}", "--R", str(10**150), "--depth", "1", "--out", str(tmp_path),
+    ]
+    assert run_cli(*argv) == 0
+    out = capsys.readouterr().out
+    assert max(map(len, out.splitlines())) <= 1100
+    assert out.count("...(") == 6
+    cfg = SieveConfig(R=10**150, depth=1)
+    cert, _ = run_sieve(theta, cfg, enumerate_best_approx(theta, cfg.height_sq_bound()))
+    assert len(format_rational(cert.eta[0])) > 1000
+    assert parse_certificate((tmp_path / "certificate.json").read_text()).eta == cert.eta

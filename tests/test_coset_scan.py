@@ -3,20 +3,20 @@ from math import lcm
 
 import pytest
 
-from badsieve import modmin
+from badsieve import verify
 from badsieve.bestapprox import enumerate_best_approx
 from badsieve.catalog import catalog_names, get_entry
 from badsieve.errors import ConfigError
-from badsieve.modmin import icbrt, weighted_min_scan
+from badsieve.rationals import icbrt
 from badsieve.sieve import SieveConfig, run_sieve
-from badsieve.verify import _weighted_score, linear_weighted_min_scan
+from badsieve.verify import ScoreReport, _weighted_score, linear_weighted_min_scan
 
 T1, T2 = Fraction(4142, 10007), Fraction(7320, 10007)
 
 
 def _blocks(t1, t2, e1, e2, Q):
     """The scan's blocks (lo, hi) up to Q, rebuilt from the rule in
-    weighted_min_scan's docstring and the oracle's records: a block's
+    _weighted_score's docstring and the oracle's records: a block's
     width depends only on the running minimum before lo."""
     D = lcm(t1.denominator, t2.denominator, e1.denominator, e2.denominator)
     trace = linear_weighted_min_scan(t1, t2, e1, e2, Q).running_min_trace
@@ -72,14 +72,14 @@ def test_scan_stops_at_zero_inside_a_block():
 
 def test_scan_bound_below_one_is_config_error():
     with pytest.raises(ConfigError, match=r"^scan bound must be >= 1$"):
-        weighted_min_scan(3, 5, 7, 0, 11, 0, {})
+        _weighted_score(Fraction(3, 11), Fraction(7, 11), Fraction(-5, 11), Fraction(0), 0)
 
 
 def test_scan_modulus_one():
     # every distance is 0 mod 1, so q = 1 scores 0 and nothing is listed
-    work = {}
-    assert weighted_min_scan(3, 5, 7, 0, 1, 10**9, work) == (0, 1, [(1, 0)])
-    assert work == {"blocks": 0, "listed": 0, "scored": 1}
+    rep = _weighted_score(Fraction(3), Fraction(7), Fraction(-5), Fraction(0), 10**9)
+    assert rep == ScoreReport(10**9, Fraction(0), 1, ((1, Fraction(0)),))
+    assert rep.work == {"blocks": 0, "listed": 0, "scored": 1}
     one = Fraction(1)
     assert _agrees(one, one, Fraction(0), Fraction(2), 10)
 
@@ -89,14 +89,14 @@ def test_scan_listing_stays_small(monkeypatch, Q):
     # the records are exact whatever the blocks hold, so only the listing's
     # size shows a reduction in the wrong metric or a block sized wrongly;
     # at most 24 points per block were measured on these twelve scans
-    box_points, sizes = modmin.box_points, []
+    box_points, sizes = verify.box_points, []
 
     def listed(b, box):
         points, n = box_points(b, box)
         sizes.append(n)
         return points, n
 
-    monkeypatch.setattr(modmin, "box_points", listed)
+    monkeypatch.setattr(verify, "box_points", listed)
     cfg = SieveConfig(R=16, depth=2, policy="random", seed=0)
     for name in catalog_names():
         theta = get_entry(name).theta
@@ -121,10 +121,10 @@ def test_scan_stops_at_the_modulus():
     # 2q - 1 is odd, so both distances are 1 mod 4 for every q: q = 1 is the
     # only record, and residues repeat with period 4, so the scan ends at
     # q = 4 instead of walking empty blocks to 10^12
-    work = {}
-    assert weighted_min_scan(2, -1, 2, -1, 4, 10**12, work) == (1, 1, [(1, 1)])
-    assert work["scored"] == 1 and work["blocks"] <= 2
     half, quarter = Fraction(1, 2), Fraction(1, 4)
+    rep = _weighted_score(half, half, quarter, quarter, 10**12)
+    assert rep == ScoreReport(10**12, Fraction(1, 64), 1, ((1, Fraction(1, 64)),))
+    assert rep.work["scored"] == 1 and rep.work["blocks"] <= 2
     assert _agrees(half, half, quarter, quarter, 1000)
 
 
