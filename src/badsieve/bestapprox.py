@@ -12,11 +12,11 @@ is z = A1*m1 + A2*m2 + D*m0 and zeta = min |z| / D, so the classes of
 height <= h and zeta <= s/D are the points of the 3-D lattice
 {(m1, m2, z)} in the half box |m1| <= h, 0 <= m2 <= isqrt(h), |z| <= s
 (every class has a point with m2 >= 0). One exact box query of the lattice
-module lists them: reduce the basis in the metric in which the box is a
-cube (Gauss steps on two rows, Babai rounding of the third, on a Gram
-matrix weighted by the squared column scales, warm-started from the
-previous query's basis), bound each lattice coordinate over the box by
-Cramer's rule (the adjugate of the reduced basis), list that integer
+module lists them: from the previous query's basis, reduced if it would
+list over 64 points in the metric in which the box is a cube (Gauss steps
+on two rows, Babai rounding of the third, on a Gram matrix weighted by the
+squared column scales), bound each lattice coordinate over the box by
+Cramer's rule (the adjugate of the basis), list that integer
 parallelepiped and filter the box exactly.
 
 After a record (h0, z0) every class with |z| <= s = z0 - 1 lies above h0,
@@ -123,10 +123,10 @@ def _box(basis: list[list[int]], h: int, s: int) -> set[tuple[int, int, int]]:
     spanned by basis with |m1| <= h, |m2| <= isqrt(h), |z| <= s, (m1, m2) != 0.
     A set: a class with points at z = +-D/2 (s = D // 2, D even) is one
     class, not a tie. box_points lists the half box m2 >= 0, reducing basis
-    in place (the next query's warm start), and the set merges the two
-    signs of m1 it lists at m2 = 0. It listed at most 48 points per query on
-    the catalog pairs to M^2 = 2^32, 36 on a 120-digit pair to 2^112 and 60
-    on 340- and 700-digit pairs to 2^448 and 2^896."""
+    in place (the next query's warm start) if it would list over 64 points;
+    the set merges the signs of m1 listed at m2 = 0. Reduced on every query,
+    a basis listed at most 48 points on the catalog pairs to M^2 = 2^32, 36
+    on a 120-digit pair to 2^112, 60 on a 340-digit pair to 2^448."""
     points, _ = box_points(basis, ((-h, h), (0, isqrt(h)), (-s, s)))
     return {(abs(z), m1 if m2 else abs(m1), m2) for m1, m2, z in points if m1 or m2}
 

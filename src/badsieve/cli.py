@@ -320,11 +320,12 @@ def cmd_verify(args) -> int:
     rep = bad_theta_score(theta, cert.eta, args.Q)
     if args.trace:
         for q, cubed in rep.running_min_trace:
-            print(f"  theta record at q={q}: cubed={brief_rational(cubed)}")
+            print(f"  theta record at q={brief_rational(q)}: cubed={brief_rational(cubed)}")
         _print_scan_work("theta", rep)
+    Q = brief_rational(args.Q)
     print(
-        f"bad_theta_score Q={args.Q}: {rep.score:.6e} "
-        f"(cubed {brief_rational(rep.score_cubed)}, argmin q={rep.argmin})"
+        f"bad_theta_score Q={Q}: {rep.score:.6e} "
+        f"(cubed {brief_rational(rep.score_cubed)}, argmin q={brief_rational(rep.argmin)})"
     )
     if rep.score_cubed == 0:
         raise InvariantViolation("eta lies on the orbit: score hit exact 0")
@@ -333,7 +334,7 @@ def cmd_verify(args) -> int:
     if args.trace:
         _print_scan_work("alpha_beta", hom)
     print(
-        f"bad_alpha_beta_score Q={args.Q}: {hom.score:.6e} "
+        f"bad_alpha_beta_score Q={Q}: {hom.score:.6e} "
         f"(cubed {brief_rational(hom.score_cubed)})"
     )
 

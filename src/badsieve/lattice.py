@@ -11,14 +11,23 @@ The answer is exact for any basis. A point x = u*B has u = x*adj(B)/det(B),
 so over the box each u[i] lies in an interval with centre c*adj(B)[:, i]/det,
 c the box's centre, and radius sum_j |adj(B)[j][i]|*(hi_j - lo_j)/(2|det|)
 (Cramer's rule); box_points lists that integer parallelepiped and filters
-the box exactly. _reduce only keeps it small: it shortens B in the metric
-in which the box is a cube. Both work on local ints, the nine entries of B
+the box exactly. _reduce only keeps it small (as in L^2, Nguyen-Stehle):
+it shortens B in the metric in which the box is a cube, and runs only when
+the basis given, the previous query's, would list over REDUCE_ABOVE points.
+Both work on local ints, the nine entries of B
 and, in _reduce, the six distinct entries of its Gram matrix: at desk scale
 (168-600-bit entries) most of a query's time is interpreter overhead, not
 big-integer arithmetic.
 """
 
 from __future__ import annotations
+
+from .errors import ConfigError
+from .rationals import brief_rational
+
+# a listing of LIST_LIMIT points takes about 0.4 GB; a larger one is refused
+REDUCE_ABOVE = 64
+LIST_LIMIT = 1 << 20
 
 
 def _reduce(b: list[list[int]], w: tuple[int, int, int]) -> None:
@@ -85,35 +94,47 @@ def box_points(
 ) -> tuple[list[tuple[int, int, int]], int]:
     """Every point of the lattice spanned by the rows of b in the closed box
     ((lo_0, hi_0), (lo_1, hi_1), (lo_2, hi_2)), each once, and the number of
-    parallelepiped points listed to find them. b is reduced in place, the
-    caller's warm start for its next query, on the cube metric's weights
-    ((w1*w2)^2, (w0*w2)^2, (w0*w1)^2), w_j = max(hi_j - lo_j, 1). Twice the
-    centre keeps the bounds integral: with r = sum_j |adj[j][i]|*(hi_j - lo_j)
-    and n = sign(det)*sum_j adj[j][i]*(lo_j + hi_j), u[i] runs over
-    [-((r - n) // 2|det|), (r + n) // 2|det|]."""
+    parallelepiped points listed to find them. Twice the centre keeps the
+    bounds integral: with r = sum_j |adj[j][i]|*(hi_j - lo_j) and
+    n = sign(det)*sum_j adj[j][i]*(lo_j + hi_j), u[i] runs over
+    [-((r - n) // 2|det|), (r + n) // 2|det|]. b is reduced in place when
+    its listing would pass REDUCE_ABOVE points, the caller's warm start for
+    its next query, on the cube metric's weights ((w1*w2)^2, (w0*w2)^2,
+    (w0*w1)^2), w_j = max(hi_j - lo_j, 1), over their common power of two
+    2^t, t = 2*(t0 + t1 + t2 - max t_j), t_j the trailing zero bits of w_j:
+    _reduce's moves do not change when G is scaled. A listing still over
+    LIST_LIMIT points raises ConfigError."""
     (l0, h0), (l1, h1), (l2, h2) = box
     d0, d1, d2 = h0 - l0, h1 - l1, h2 - l2
-    w0, w1, w2 = max(d0, 1), max(d1, 1), max(d2, 1)
-    _reduce(b, ((w1 * w2) ** 2, (w0 * w2) ** 2, (w0 * w1) ** 2))
-    (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = b
-    # the columns of adj(b): (b x c, c x a, a x b)
-    x0, x1, x2 = b1 * c2 - b2 * c1, b2 * c0 - b0 * c2, b0 * c1 - b1 * c0
-    y0, y1, y2 = c1 * a2 - c2 * a1, c2 * a0 - c0 * a2, c0 * a1 - c1 * a0
-    z0, z1, z2 = a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0
-    det = a0 * x0 + a1 * x1 + a2 * x2
     e0, e1, e2 = l0 + h0, l1 + h1, l2 + h2
-    nx = x0 * e0 + x1 * e1 + x2 * e2
-    ny = y0 * e0 + y1 * e1 + y2 * e2
-    nz = z0 * e0 + z1 * e1 + z2 * e2
-    if det < 0:
-        det, nx, ny, nz = -det, -nx, -ny, -nz
-    two = 2 * det
-    r = abs(x0) * d0 + abs(x1) * d1 + abs(x2) * d2
-    lx, ux = -((r - nx) // two), (r + nx) // two
-    r = abs(y0) * d0 + abs(y1) * d1 + abs(y2) * d2
-    ly, uy = -((r - ny) // two), (r + ny) // two
-    r = abs(z0) * d0 + abs(z1) * d1 + abs(z2) * d2
-    lz, uz = -((r - nz) // two), (r + nz) // two
+    for reduced in (False, True):  # bound b's parallelepiped; if too large, reduce b
+        (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = b
+        # the columns of adj(b): (b x c, c x a, a x b)
+        x0, x1, x2 = b1 * c2 - b2 * c1, b2 * c0 - b0 * c2, b0 * c1 - b1 * c0
+        y0, y1, y2 = c1 * a2 - c2 * a1, c2 * a0 - c0 * a2, c0 * a1 - c1 * a0
+        z0, z1, z2 = a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0
+        det = a0 * x0 + a1 * x1 + a2 * x2
+        nx = x0 * e0 + x1 * e1 + x2 * e2
+        ny = y0 * e0 + y1 * e1 + y2 * e2
+        nz = z0 * e0 + z1 * e1 + z2 * e2
+        if det < 0:
+            det, nx, ny, nz = -det, -nx, -ny, -nz
+        two = 2 * det
+        r = abs(x0) * d0 + abs(x1) * d1 + abs(x2) * d2
+        lx, ux = -((r - nx) // two), (r + nx) // two
+        r = abs(y0) * d0 + abs(y1) * d1 + abs(y2) * d2
+        ly, uy = -((r - ny) // two), (r + ny) // two
+        r = abs(z0) * d0 + abs(z1) * d1 + abs(z2) * d2
+        lz, uz = -((r - nz) // two), (r + nz) // two
+        n = (ux - lx + 1) * (uy - ly + 1) * (uz - lz + 1)
+        if reduced or n <= REDUCE_ABOVE:
+            break
+        w0, w1, w2 = max(d0, 1), max(d1, 1), max(d2, 1)
+        t0, t1, t2 = ((w & -w).bit_length() - 1 for w in (w0, w1, w2))
+        t = 2 * (t0 + t1 + t2 - max(t0, t1, t2))
+        _reduce(b, ((w1 * w2) ** 2 >> t, (w0 * w2) ** 2 >> t, (w0 * w1) ** 2 >> t))
+    if n > LIST_LIMIT:
+        raise ConfigError(f"box query would list {brief_rational(n)} points, over 2^20")
     out = []
     for k2 in range(lz, uz + 1):
         for k1 in range(ly, uy + 1):
@@ -122,4 +143,4 @@ def box_points(
                 v0, v1, v2 = p0 + k0 * a0, p1 + k0 * a1, p2 + k0 * a2
                 if l0 <= v0 <= h0 and l1 <= v1 <= h1 and l2 <= v2 <= h2:
                     out.append((v0, v1, v2))
-    return out, (ux - lx + 1) * (uy - ly + 1) * (uz - lz + 1)
+    return out, n

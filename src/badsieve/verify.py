@@ -116,6 +116,15 @@ def linear_weighted_min_scan(
     return _scan_report(Q, D, best, best_q, trace)
 
 
+def _half_width(n: int) -> int:
+    """The q-scan's box half-width: icbrt(n) below 2^26, else icbrt(n) rounded
+    up to 9 significant bits, (icbrt(n >> 3k) + 1) << k, k = (n.bit_length()
+    - 24) // 3, at most icbrt(n)*(1 + 2^-7) as n >> 3k has 24 to 26 bits.
+    Rounded widths share a power of two, which box_points divides out."""
+    k = max(0, (n.bit_length() - 24) // 3)
+    return (icbrt(n >> 3 * k) + (k > 0)) << k
+
+
 def _weighted_score(
     t1: Fraction, t2: Fraction, e1: Fraction, e2: Fraction, Q: int
 ) -> ScoreReport:
@@ -128,15 +137,17 @@ def _weighted_score(
     directly; then the blocks lo <= q <= hi run from lo = 2 up to Q. With
     best the running minimum when a block starts, a q in it sets a strict
     new record only if q^2 d1^3 < best and q d2^3 < best, so
-    d1 <= s1 = icbrt((best - 1) // lo^2) and d2 <= s2 = icbrt((best - 1) // lo).
-    Those q are lo + x for the points (x, y1, y2) of the lattice L spanned
-    by (1, a1, a2), (0, D, 0), (0, 0, D) in the box 0 <= x <= hi - lo,
-    |yi + ri| <= si, ri = (ai*lo + ci) % D centred into (-D/2, D/2].
-    lattice.box_points lists them, its basis warm-started from the previous
-    block's (L never changes), and they are scored exactly in increasing q.
-    best only falls inside a block, so the box holds every q that could set
-    a record. q = 1 scores at most (D // 2)^3, so s1 and s2 stay below D / 2
-    and each q is one point of the box.
+    d1 <= icbrt((best - 1) // lo^2) <= s1 and d2 <= icbrt((best - 1) // lo) <= s2,
+    si those roots rounded up by _half_width. Those q are lo + x for the
+    points (x, y1, y2) of the lattice L spanned by (1, a1, a2), (0, D, 0),
+    (0, 0, D) in the box 0 <= x <= hi - lo, |yi + ri| <= si, ri = (ai*lo + ci)
+    % D centred into (-D/2, D/2]. lattice.box_points lists them from the
+    previous block's basis (L never changes), reduced only if it would list
+    over 64 points, and they are scored exactly in increasing q. best only
+    falls inside a block, so the box holds every q that could set a record.
+    q = 1 scores at most (D // 2)^3 and lo >= 2, so even rounded up s1 and
+    s2 stay below D / 2 and each q is one point of the box. A box of over
+    2^20 points is a ConfigError naming the block.
 
     q + D has the distances of q and a larger score, so the scan stops at
     min(Q, D). A block is about 4*D^2 / ((2*s1 + 1)*(2*s2 + 1)) wide, so
@@ -168,12 +179,16 @@ def _weighted_score(
     scored = 1
     lo = 2
     while best and lo <= last:
-        s1 = icbrt((best - 1) // (lo * lo))
-        s2 = icbrt((best - 1) // lo)
+        s1 = _half_width((best - 1) // (lo * lo))
+        s2 = _half_width((best - 1) // lo)
         hi = min(last, lo - 1 + max(1, 4 * D * D // ((2 * s1 + 1) * (2 * s2 + 1))))
         r1, r2 = centred(a1 * lo + c1), centred(a2 * lo + c2)
         box = (0, hi - lo), (-s1 - r1, s1 - r1), (-s2 - r2, s2 - r2)
-        points, n = box_points(basis, box)
+        try:
+            points, n = box_points(basis, box)
+        except ConfigError as e:
+            block = f"{brief_rational(lo)} <= q <= {brief_rational(hi)}"
+            raise ConfigError(f"q-scan block {block}: {e}") from None
         blocks += 1
         listed += n
         for q in sorted(lo + x for x, _, _ in points):

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from conftest import sqrt_pair_truncated
 
-from badsieve import bestapprox
+from badsieve import bestapprox, lattice
 from badsieve.bestapprox import (
     BestApproxSequence,
     BestApproxVector,
@@ -208,6 +208,24 @@ def test_weighted_reduction_equals_scaled_reduction():
         assert weighted == [[x // c for x, c in zip(row, scale)] for row in scaled]
 
 
+_row = st.lists(st.integers(-(2**80), 2**80), min_size=3, max_size=3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    b0=st.lists(_row, min_size=3, max_size=3).filter(lambda b: _det3(b) != 0),
+    w=st.tuples(*[st.integers(1, 2**120)] * 3),
+    t=st.integers(0, 300),
+)
+def test_reduction_ignores_a_common_power_of_two(b0, w, t):
+    # every test of _reduce is homogeneous of degree 0 in G, so box_points
+    # may divide the weights' common power of two out of them
+    plain, shifted = [row[:] for row in b0], [row[:] for row in b0]
+    _reduce(plain, w)
+    _reduce(shifted, tuple(x << t for x in w))
+    assert shifted == plain
+
+
 # Bases whose rows tie in norm, and the basis _reduce leaves, pinned: the
 # one place a sort by compare-and-swap could part from a stable sort. Unit
 # weights with equal or permuted rows; the enumerator's rows [1, 0, A1],
@@ -251,11 +269,17 @@ def test_reduce_small_entries_pinned():
     )
 
 
-def _listing_sizes(monkeypatch, theta, H, limit):
+def _listing_sizes(monkeypatch, theta, H, limit, forced=False):
     """Enumerate to H and return, for each box query, the number of
     parallelepiped points lattice.box_points listed for it, as bestapprox
-    calls it. A query over limit fails at once."""
-    box_points, sizes = bestapprox.box_points, []
+    calls it, and the number of reductions it made. A query over limit fails
+    at once. forced reduces on every query (REDUCE_ABOVE = -1), as
+    box_points did before it listed small warm bases as they were."""
+    box_points, sizes, reductions = bestapprox.box_points, [], []
+    reduce = lattice._reduce
+    monkeypatch.setattr(lattice, "_reduce", lambda b, w: reductions.append(reduce(b, w)))
+    if forced:
+        monkeypatch.setattr(lattice, "REDUCE_ABOVE", -1)
 
     def listed(b, box):
         points, n = box_points(b, box)
@@ -265,20 +289,25 @@ def _listing_sizes(monkeypatch, theta, H, limit):
 
     monkeypatch.setattr(bestapprox, "box_points", listed)
     enumerate_best_approx(theta, H)
-    return sizes
+    monkeypatch.undo()
+    return sizes, len(reductions)
 
 
 @pytest.mark.parametrize(
-    "theta, H",
-    [(get_entry(name).theta, 2**32) for name in ("sqrt2-sqrt3", "golden-pair", "liouville")]
-    + [(sqrt_pair_truncated(120), 2**112), (sqrt_pair_truncated(340), 2**448)],
+    "theta, H, reduced_limit",
+    [(get_entry(name).theta, 2**32, 48) for name in ("sqrt2-sqrt3", "golden-pair", "liouville")]
+    + [(sqrt_pair_truncated(120), 2**112, 36), (sqrt_pair_truncated(340), 2**448, 60)],
     ids=["sqrt2-sqrt3", "golden-pair", "liouville", "sqrt2-sqrt3@120", "sqrt2-sqrt3@340"],
 )
-def test_box_listing_stays_small(monkeypatch, theta, H):
+def test_box_listing_stays_small(monkeypatch, theta, H, reduced_limit):
     # records stay exact whatever basis _box reduces to, so only the
-    # listing's size shows a reduction in the wrong metric; at most 60
-    # points per query were measured on these pairs
-    assert _listing_sizes(monkeypatch, theta, H, limit=64)
+    # listing's size shows a reduction in the wrong metric. A warm basis
+    # that lists more than 64 points is reduced first; reduced on every
+    # query, the listings were measured at reduced_limit points at most
+    sizes, _ = _listing_sizes(monkeypatch, theta, H, limit=reduced_limit, forced=True)
+    assert sizes
+    sizes, reductions = _listing_sizes(monkeypatch, theta, H, limit=64)
+    assert 0 < reductions < len(sizes)
 
 
 @pytest.mark.parametrize(
@@ -313,9 +342,22 @@ def test_box_query_count(monkeypatch, theta, H, queries):
 def test_box_work_pinned(monkeypatch, name, queries, listed):
     # the records stay exact under any reduction, but another sequence of
     # moves changes how many points the queries list, and so may the gallop's
-    # query count: both are pinned exactly
-    sizes = _listing_sizes(monkeypatch, get_entry(name).theta, 2**32, limit=64)
-    assert (len(sizes), sum(sizes)) == (queries, listed)
+    # query count: both are pinned exactly, with a reduction on every query
+    theta = get_entry(name).theta
+    sizes, reductions = _listing_sizes(monkeypatch, theta, 2**32, limit=64, forced=True)
+    assert (len(sizes), sum(sizes), reductions) == (queries, listed, queries)
+
+
+@pytest.mark.parametrize(
+    "name, queries, listed, reductions",
+    [("sqrt2-sqrt3", 29, 586, 11), ("golden-pair", 32, 576, 11), ("liouville", 34, 378, 6)],
+)
+def test_box_work_pinned_at_the_reduction_cap(monkeypatch, name, queries, listed, reductions):
+    # reducing only the warm bases that would list more than 64 points
+    # lists more points in all and makes a third of the reductions or fewer
+    theta = get_entry(name).theta
+    sizes, made = _listing_sizes(monkeypatch, theta, 2**32, limit=64)
+    assert (len(sizes), sum(sizes), made) == (queries, listed, reductions)
 
 
 _theta_coord = st.integers(2, 10**4).flatmap(

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from math import isqrt
 
@@ -1150,6 +1151,39 @@ def test_verify_shows_long_exact_numbers_briefly(liouville_depth_2, tmp_path, ca
     assert "...(" in out and " digits)" in out
     stamped = parse_certificate((tmp_path / "v").read_text()).bad_theta_score_at_Q
     assert len(format_rational(stamped[1])) > 1000
+
+
+def test_verify_refuses_a_scan_block_too_large_to_list(liouville_depth_2, tmp_path, capsys):
+    # liouville's spike makes the homogeneous scan's block past q = 10^30
+    # hold Q / 10^30 + 1 points: 10^10 at Q = 10^40, refused before listing
+    capsys.readouterr()
+    target = tmp_path / "v"
+    start = time.perf_counter()
+    assert run_cli("verify", str(liouville_depth_2), "--Q", str(10**40), "--out", str(target)) == 5
+    assert time.perf_counter() - start < 5
+    err = capsys.readouterr().err
+    assert err.startswith("config error: q-scan block ") and err.endswith(", over 2^20\n")
+    assert "10000000001 points" in err and len(err) < 1000
+    assert not target.exists()
+    assert run_cli("verify", str(liouville_depth_2), "--Q", str(10**35), "--out", str(target)) == 0
+
+
+@pytest.mark.parametrize("trace", [False, True])
+def test_verify_shows_a_long_scan_bound_briefly(tmp_path, capsys, trace):
+    # golden-pair's scans end at Q = 10^1500 with q past 1,000 digits; the
+    # verified copy stores Q exactly
+    Q = 10**1500
+    assert run_cli(
+        "construct", "--catalog", "golden-pair", "--R", "8", "--depth", "1", "--out", str(tmp_path)
+    ) == 0
+    capsys.readouterr()
+    argv = ["verify", str(tmp_path / "certificate.json"), "--Q", str(Q)]
+    assert run_cli(*argv, *(["--trace"] if trace else [])) == 0
+    out = capsys.readouterr().out
+    assert max(map(len, out.splitlines())) <= 1100
+    assert "Q=10000000000000000000...(1501 digits)" in out
+    stamped = parse_certificate((tmp_path / "certificate.verified.json").read_text())
+    assert stamped.bad_theta_score_at_Q[0] == Q
 
 
 def test_construct_shows_long_exact_numbers_briefly(tmp_path, capsys):

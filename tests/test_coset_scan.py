@@ -3,13 +3,15 @@ from math import lcm
 
 import pytest
 
-from badsieve import verify
+from hypothesis import given, settings, strategies as st
+
+from badsieve import lattice, verify
 from badsieve.bestapprox import enumerate_best_approx
 from badsieve.catalog import catalog_names, get_entry
 from badsieve.errors import ConfigError
 from badsieve.rationals import icbrt
 from badsieve.sieve import SieveConfig, run_sieve
-from badsieve.verify import ScoreReport, _weighted_score, linear_weighted_min_scan
+from badsieve.verify import ScoreReport, _half_width, _weighted_score, linear_weighted_min_scan
 
 T1, T2 = Fraction(4142, 10007), Fraction(7320, 10007)
 
@@ -25,8 +27,8 @@ def _blocks(t1, t2, e1, e2, Q):
         cubed = [c for q, c in trace if q < lo][-1] * D**3
         if cubed == 0:
             break
-        s1 = min(icbrt(int(cubed - 1) // (lo * lo)), D // 2)
-        s2 = min(icbrt(int(cubed - 1) // lo), D // 2)
+        s1 = min(_half_width(int(cubed - 1) // (lo * lo)), D // 2)
+        s2 = min(_half_width(int(cubed - 1) // lo), D // 2)
         hi = min(Q, lo - 1 + max(1, 4 * D * D // ((2 * s1 + 1) * (2 * s2 + 1))))
         out.append((lo, hi))
         lo = hi + 1
@@ -84,11 +86,10 @@ def test_scan_modulus_one():
     assert _agrees(one, one, Fraction(0), Fraction(2), 10)
 
 
-@pytest.mark.parametrize("Q", [10**6, 10**12])
-def test_scan_listing_stays_small(monkeypatch, Q):
-    # the records are exact whatever the blocks hold, so only the listing's
-    # size shows a reduction in the wrong metric or a block sized wrongly;
-    # at most 24 points per block were measured on these twelve scans
+def _scan_listing_sizes(monkeypatch, Q, forced):
+    """The points lattice.box_points listed for each block of verify's two
+    scans to Q on the R=16 depth 2 random seed 0 certificates; forced
+    reduces on every block (REDUCE_ABOVE = -1)."""
     box_points, sizes = verify.box_points, []
 
     def listed(b, box):
@@ -97,13 +98,51 @@ def test_scan_listing_stays_small(monkeypatch, Q):
         return points, n
 
     monkeypatch.setattr(verify, "box_points", listed)
+    if forced:
+        monkeypatch.setattr(lattice, "REDUCE_ABOVE", -1)
     cfg = SieveConfig(R=16, depth=2, policy="random", seed=0)
     for name in catalog_names():
         theta = get_entry(name).theta
         cert, _ = run_sieve(theta, cfg, enumerate_best_approx(theta, cfg.height_sq_bound()))
         for eta in cert.eta, (Fraction(0), Fraction(0)):
             _weighted_score(theta.theta1, theta.theta2, *eta, Q)
+    monkeypatch.undo()
+    return sizes
+
+
+@pytest.mark.parametrize("Q", [10**6, 10**12])
+def test_scan_listing_stays_small(monkeypatch, Q):
+    # the records are exact whatever the blocks hold, so only the listing's
+    # size shows a reduction in the wrong metric or a block sized wrongly.
+    # box_points reduces a warm basis that would list more than 64 points;
+    # reduced on every block, these twelve scans listed at most 24 per block
+    sizes = _scan_listing_sizes(monkeypatch, Q, forced=True)
+    assert sizes and max(sizes) <= 24
+    sizes = _scan_listing_sizes(monkeypatch, Q, forced=False)
     assert sizes and max(sizes) <= 64
+
+
+def _widths_agree(n):
+    s, root = _half_width(n), icbrt(n)
+    assert root <= s <= root + root // 128 + 1, n
+    k = max(0, s.bit_length() - 9)
+    assert s >> k << k == s, n
+
+
+def test_half_width_exhaustive():
+    # below 2^26 the width is the root itself
+    for n in range(2**16):
+        assert _half_width(n) == icbrt(n)
+    for n in (2**26 - 1, 2**26, 2**27, 2**30 - 1, 10**12, 2**600 + 1):
+        _widths_agree(n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 6000).flatmap(lambda b: st.integers(0, 2**b)))
+def test_half_width_bounds(n):
+    # at least the root, so a block's box holds every q that could set a
+    # record; at most 9 significant bits; at most 2^-7 above the root, + 1
+    _widths_agree(n)
 
 
 def test_scan_last_block_is_the_modulus():
@@ -130,7 +169,7 @@ def test_scan_stops_at_the_modulus():
 
 @pytest.mark.parametrize(
     "name, theta_work, alpha_beta_work",
-    [("sqrt2-sqrt3", (6, 72, 25), (5, 72, 17)),
+    [("sqrt2-sqrt3", (6, 74, 25), (5, 72, 16)),
      ("golden-pair", (5, 39, 13), (5, 53, 22)),
      ("liouville", (4, 28, 13), (5, 64, 31))],
 )

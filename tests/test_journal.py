@@ -339,6 +339,27 @@ def test_parse_journal_rejects_extra_key_in_level_line():
         parse_journal("\n".join(lines) + "\n")
 
 
+@pytest.mark.parametrize(
+    "key, value, message",
+    [("note", 1, "field 'note' is not one the writer emits"),
+     ("level", True, "field 'level' is True, but recomputed it is 1"),
+     ("level", 1.0, "field 'level' is 1.0, but recomputed it is 1")],
+    ids=["extra-key", "true-for-1", "float-for-1"],
+)
+def test_parse_journal_names_the_first_field_that_differs(key, value, message):
+    # a line equal to the writer's as a whole is accepted in one comparison;
+    # any other is walked key by key and refused with the key's message
+    _, journal = _run("golden-pair", R=8, depth=2)
+    lines = journal_text(journal).splitlines()
+    level = json.loads(lines[2])
+    assert level["level"] == 1
+    level[key] = value
+    lines[2] = json.dumps(level, separators=(",", ":"))
+    with pytest.raises(ConfigError) as exc:
+        parse_journal("\n".join(lines) + "\n")
+    assert str(exc.value) == f"journal line 3: {message}"
+
+
 def test_parsers_refuse_an_integer_past_the_digit_limit(default_digit_limit):
     # json.loads raises a bare ValueError for a 5,001-digit integer under
     # the default limit; both parsers turn it into ConfigError
