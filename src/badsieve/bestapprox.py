@@ -86,7 +86,8 @@ class BestApproxVector:
 class BestApproxSequence:
     """All best approximation vectors with height_sq <= height_sq_max,
     in height order. height_sq_max is the completeness bound, not the last
-    vector's height."""
+    vector's height. sieve_memo holds what sieve runs over the sequence
+    share; it never enters a file."""
 
     theta: ThetaForm
     height_sq_max: int
@@ -98,6 +99,12 @@ class BestApproxSequence:
         once per sequence: the fields are frozen and vectors is a tuple."""
         text = f"height_sq_max={self.height_sq_max}\n" + export_sequence_lines(self)
         return fingerprint(text)
+
+    @cached_property
+    def sieve_memo(self) -> dict:
+        """Sieve work that depends only on this sequence and R (see
+        sieve._Shared), kept, like the fingerprint, as long as the sequence."""
+        return {}
 
     def validate(self) -> None:
         prev = None

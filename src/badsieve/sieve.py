@@ -25,13 +25,18 @@ and epsilon over one common denominator D and take each floor, ceil and
 strict inequality of the same rational scaled by D > 0; the chosen child's
 corner and the final centre are built from the same integers. The gap test
 is an integer inequality in R, the level and |m|, wherever the rectangle is.
+
+No seed changes the base, a level's window, its gap flags or its zero-kill
+marks, so they are computed once per (sequence, R) or (sequence, R, level),
+as is the base's level 0, and kept in the sequence's sieve_memo. Each run
+draws its own picks and walks its own levels >= 1.
 """
 
 from __future__ import annotations
 
 import random
 from bisect import bisect_right
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from math import lcm
 from operator import attrgetter
@@ -40,6 +45,7 @@ from .bestapprox import (
     TYPE1,
     TYPE2,
     BestApproxSequence,
+    BestApproxVector,
     sequence_fingerprint,
 )
 from .errors import (
@@ -418,6 +424,19 @@ def kth_survivor(rows: KillRows, R: int, k: int) -> tuple[int, int]:
     raise InvariantViolation("survivor index beyond the surviving children")
 
 
+@dataclass
+class _Shared:
+    """What every descent over one sequence at one R computes alike, kept in
+    seq.sieve_memo[R]: the base, each level's window as (vector, zero-kill
+    mark) pairs, the marks holding the gap flags, and the last level-0
+    rectangle stepped with its frame, DangerStats and kill rows."""
+
+    base: Rectangle | None = None
+    windows: dict[int, tuple[tuple[BestApproxVector, VectorMark], ...]] = field(
+        default_factory=dict)
+    level0: tuple[Rectangle, Frame, DangerStats, KillRows] | None = None
+
+
 def sieve_step(
     cfg: SieveConfig,
     rect: Rectangle,
@@ -430,26 +449,36 @@ def sieve_step(
         raise IncompleteSequence(
             f"level {n} needs records complete to M^2 = {brief_rational(hi)}"
         )
-    # the records with lo < M^2 <= hi: a slice, as seq.vectors is in height
-    # order; the stable sort puts Type1 first, each type in index order
-    vs = seq.vectors
-    window = vs[bisect_right(vs, lo, key=_height):bisect_right(vs, hi, key=_height)]
-    window = sorted(window, key=_kind)
-    frame = _frame(rect, cfg)
-    marks = []
-    union: KillRows = {}
-    for v in window:
-        kills = 0
-        # most vectors meet no strip over the rectangle and kill nothing
-        if not _clear(frame, v, R):
-            rows = dangerous_children(rect, v, cfg)
-            kills = _count_covered(rows)
-            for j, ranges in rows.items():
-                union.setdefault(j, []).extend(ranges)
-        marks.append(VectorMark(v.index, v.kind, kills, gap_condition(rect, v, cfg)))
-    union = {j: merge_ranges(r) for j, r in union.items()}
-    union_kills = _count_covered(union)
-    stats = DangerStats(tuple(marks), union_kills, R**3 - union_kills)
+    shared = seq.sieve_memo.get(R) or seq.sieve_memo.setdefault(R, _Shared())
+    if n == 0 and shared.level0 and shared.level0[0] == rect:
+        _, frame, stats, union = shared.level0
+    else:
+        window = shared.windows.get(n)
+        if window is None:
+            # the records with lo < M^2 <= hi: a slice, as seq.vectors is in
+            # height order; the stable sort puts Type1 first, each type in
+            # index order
+            vs = seq.vectors
+            band = vs[bisect_right(vs, lo, key=_height):bisect_right(vs, hi, key=_height)]
+            window = shared.windows[n] = tuple(
+                (v, VectorMark(v.index, v.kind, 0, gap_condition(rect, v, cfg)))
+                for v in sorted(band, key=_kind))
+        frame = _frame(rect, cfg)
+        marks = []
+        union: KillRows = {}
+        for v, mark in window:
+            # most vectors meet no strip over the rectangle and kill nothing
+            if not _clear(frame, v, R):
+                rows = dangerous_children(rect, v, cfg)
+                mark = VectorMark(v.index, v.kind, _count_covered(rows), mark.gap_ok)
+                for j, ranges in rows.items():
+                    union.setdefault(j, []).extend(ranges)
+            marks.append(mark)
+        union = {j: merge_ranges(r) for j, r in union.items()}
+        union_kills = _count_covered(union)
+        stats = DangerStats(tuple(marks), union_kills, R**3 - union_kills)
+        if n == 0:
+            shared.level0 = rect, frame, stats, union
     if stats.survivors == 0:
         raise NoSurvivor(
             f"all {R**3} children killed while refining level {n}; "
@@ -521,10 +550,15 @@ def run_sieve(
         sub = BestApproxSequence(theta=theta, height_sq_max=bound, vectors=in_range)
     validate_precision(theta, bound, in_range[-1].zeta)
 
-    base = rect = select_base(cfg, sub)
+    # the base and every window below the bound are the same in seq and sub,
+    # so runs share seq's memo
+    shared = seq.sieve_memo.get(cfg.R) or seq.sieve_memo.setdefault(cfg.R, _Shared())
+    if shared.base is None:
+        shared.base = select_base(cfg, seq)
+    base = rect = shared.base
     levels: list[LevelRecord] = []
     while rect.level < cfg.depth:
-        rect, rec = sieve_step(cfg, rect, sub)
+        rect, rec = sieve_step(cfg, rect, seq)
         levels.append(rec)
 
     eta = rect.center(cfg)

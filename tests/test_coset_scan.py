@@ -17,19 +17,19 @@ T1, T2 = Fraction(4142, 10007), Fraction(7320, 10007)
 
 
 def _blocks(t1, t2, e1, e2, Q):
-    """The scan's blocks (lo, hi) up to Q, rebuilt from the rule in
-    _weighted_score's docstring and the oracle's records: a block's
-    width depends only on the running minimum before lo."""
+    """The scan's blocks (lo, hi) up to min(Q, D), where the scan stops,
+    rebuilt from the rule in _weighted_score's docstring and the oracle's
+    records: a block's width depends only on the running minimum before lo."""
     D = lcm(t1.denominator, t2.denominator, e1.denominator, e2.denominator)
     trace = linear_weighted_min_scan(t1, t2, e1, e2, Q).running_min_trace
-    out, lo = [], 2
-    while lo <= Q:
+    out, lo, last = [], 2, min(Q, D)
+    while lo <= last:
         cubed = [c for q, c in trace if q < lo][-1] * D**3
         if cubed == 0:
             break
         s1 = min(_half_width(int(cubed - 1) // (lo * lo)), D // 2)
         s2 = min(_half_width(int(cubed - 1) // lo), D // 2)
-        hi = min(Q, lo - 1 + max(1, 4 * D * D // ((2 * s1 + 1) * (2 * s2 + 1))))
+        hi = min(last, lo - 1 + max(1, 4 * D * D // ((2 * s1 + 1) * (2 * s2 + 1))))
         out.append((lo, hi))
         lo = hi + 1
     return out
@@ -46,10 +46,24 @@ def test_scan_first_q(Q, eta):
 
 
 @pytest.mark.parametrize("eta", [(Fraction(0), Fraction(0)), (Fraction(1, 101), Fraction(1, 103))])
-def test_scan_at_block_edges(eta):
+def test_scan_at_block_edges(eta, monkeypatch):
+    # Q is past D = 10007: the homogeneous scan's last block ends at D
     Q = 20000
     blocks = _blocks(T1, T2, *eta, Q)
+    box_points, widths = verify.box_points, []
+
+    def recorded(b, box):
+        widths.append(box[0][1])  # the block's x-range is 0 <= x <= hi - lo
+        return box_points(b, box)
+
+    monkeypatch.setattr(verify, "box_points", recorded)
     work = _weighted_score(T1, T2, *eta, Q).work
+    monkeypatch.undo()
+    edges, lo = [], 2
+    for w in widths:
+        edges.append((lo, lo + w))
+        lo += w + 1
+    assert blocks == edges
     assert work["blocks"] == len(blocks) >= 4
     assert any(hi > lo + 1 for lo, hi in blocks)
     for lo, hi in blocks:

@@ -854,7 +854,10 @@ def test_step_union_merges_overlapping_kills():
 
 def test_clear_vectors_skip_the_row_walk(monkeypatch):
     # sieve_step walks the rows only for vectors whose strips meet the
-    # rectangle; every other mark has 0 kills, as the walk would have found
+    # rectangle; every other mark has 0 kills, as the walk would have found.
+    # Runs over one sequence at one R share the base and its level 0, so the
+    # first run walks every non-clear (level, vector) pair and later runs
+    # walk exactly those of levels >= 1
     walked = []
 
     def counted(B, v, cfg):
@@ -862,7 +865,7 @@ def test_clear_vectors_skip_the_row_walk(monkeypatch):
         return dangerous_children(B, v, cfg)
 
     monkeypatch.setattr(sieve, "dangerous_children", counted)
-    skipped = met = 0
+    skipped = met = reused = 0
     for pair in ("sqrt2-sqrt3", "golden-pair", "liouville"):
         theta = get_entry(pair).theta
         seq = enumerate_best_approx(theta, 8**6)
@@ -878,11 +881,13 @@ def test_clear_vectors_skip_the_row_walk(monkeypatch):
                     assert mark.kills == _count_covered(rows)
                     if rect_clear(rec.rect, v, cfg):
                         skipped += 1
-                    else:
+                    elif seed == 0 or rec.level >= 1:
                         expected.append((rec.rect, v.index))
+                    else:
+                        reused += 1
             assert walked == expected
             met += len(walked)
-    assert skipped > met > 0
+    assert skipped > met > 0 and reused > 0
 
 
 def _filtered_windows(journal, seq, R):
